@@ -71,7 +71,12 @@ DECAY_FACTOR = 1.5       # required shrink factor per doubling
 DIVERGE_FACTOR = 1.25    # difference ratios below this are non-decaying
 TREND_WINDOW = 6         # samples inspected for the remainder trend
 INCREMENT_WINDOW = 5     # dyadic sum increments inspected by the probe
-RECHECK_BAND = 1e-9      # float64 margins inside this band go to mpmath
+# The scan's relative margin is (thr - g_n)/(p_n + thr), thr = p_n (r+eps)/(n ln n).
+# thr carries a few ulps of relative error (~1e-15) and g_n is exact, so the
+# float64 sign of thr - g_n can be wrong only where |thr - g_n| <~ 1e-15 thr.
+# Pairs with thr - g_n >= -RECHECK_BAND * thr and margin <= 2 * BORDERLINE_REL
+# cover that region and every borderline hit; they go to mpmath.
+RECHECK_BAND = 1e-9
 BORDERLINE_REL = 1e-12   # hits with relative margin below this are flagged
 
 
@@ -219,7 +224,6 @@ class ComparisonResult:
 
     n_lo: int
     n_hi: int
-    holds: np.ndarray
     first_violation: int | None
     last_violation: int | None
     violation_count: int
@@ -257,22 +261,24 @@ def ratio_comparison(
         raise ValueError(f"comparison range must start at n >= 2, got {n_lo}")
     if n_hi < n_lo:
         raise ValueError(f"empty comparison range [{n_lo}, {n_hi}]")
-    holds = np.zeros(n_hi - n_lo + 1, dtype=bool)
+    first = last = None
+    count = 0
     for lo, hi in _chunks(n_lo, n_hi):
         ns = np.arange(lo, hi + 2, dtype=np.int64)
         va = eval_array(a, ns)
         vb = eval_array(b, ns)
-        ra = va[:-1] / va[1:]
-        rb = vb[:-1] / vb[1:]
-        holds[lo - n_lo : hi - n_lo + 1] = ra >= rb
-    violations = np.flatnonzero(~holds)
+        violations = np.flatnonzero(~(va[:-1] / va[1:] >= vb[:-1] / vb[1:]))
+        if violations.size:
+            if first is None:
+                first = int(violations[0]) + lo
+            last = int(violations[-1]) + lo
+            count += int(violations.size)
     return ComparisonResult(
         n_lo=n_lo,
         n_hi=n_hi,
-        holds=holds,
-        first_violation=int(violations[0]) + n_lo if violations.size else None,
-        last_violation=int(violations[-1]) + n_lo if violations.size else None,
-        violation_count=int(violations.size),
+        first_violation=first,
+        last_violation=last,
+        violation_count=count,
     )
 
 
@@ -512,10 +518,19 @@ def prime_ratio_scan(
 ) -> ScanReport:
     """Scan all prime pairs with p_next <= limit for the ratio inequality.
 
-    Both sides are compared in float64 first; margins within RECHECK_BAND
-    are re-decided in extended precision (float64 error is ~1e-16, so any
-    margin beyond the band is provably classified identically). The hit
-    set is monotone in r and epsilon by construction.
+    With thr = p_n (r + epsilon)/(n ln n), the relative margin
+    (rhs - lhs)/rhs of the ratio inequality equals (thr - g_n)/(p_n + thr),
+    and n is a hit exactly when thr - g_n > 0. The scan evaluates that
+    form in float64: g_n is an exact integer and thr has a few ulps of
+    relative error, so thr - g_n has no cancellation and its error stays
+    far below RECHECK_BAND * thr, and the margin's absolute error stays
+    near 1e-15. A pair is re-decided in extended precision only when
+    thr - g_n >= -RECHECK_BAND * thr and its margin is at most
+    2 * BORDERLINE_REL. That region holds every pair whose hit decision
+    (the sign of thr - g_n) or borderline decision
+    (0 < margin < BORDERLINE_REL) the float error could flip; every other
+    pair is classified as exact arithmetic would classify it. The hit set
+    is monotone in r and epsilon by construction.
     """
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
@@ -546,15 +561,13 @@ def prime_ratio_scan(
 
         nf = ns_m.astype(np.float64)
         pf = p_m.astype(np.float64)
-        gf = g_m.astype(np.float64)
-        factor = strength / (nf * np.log(nf))
-        rhs = 1.0 + factor
-        lhs = (pf + gf) / pf
-        margin = (rhs - lhs) / rhs
+        thr = pf * (strength / (nf * np.log(nf)))
+        d = thr - g_m
+        margin = d / (pf + thr)
 
-        is_hit = margin > 0
+        is_hit = d > 0
         borderline = np.zeros(len(ns_m), dtype=bool)
-        uncertain = np.abs(margin) <= RECHECK_BAND
+        uncertain = (d >= -RECHECK_BAND * thr) & (margin <= 2 * BORDERLINE_REL)
         for idx in np.flatnonzero(uncertain).tolist():
             hit, near = _recheck_mp(
                 int(ns_m[idx]), int(p_m[idx]), int(g_m[idx]), r, epsilon
@@ -566,7 +579,7 @@ def prime_ratio_scan(
             ns_out.append(ns_m[is_hit])
             ps_out.append(p_m[is_hit])
             gs_out.append(g_m[is_hit])
-            th_out.append(pf[is_hit] * factor[is_hit])
+            th_out.append(thr[is_hit])
             bl_out.append(borderline[is_hit])
 
     if scanned == 0:

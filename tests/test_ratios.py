@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaplab.ratios as ratios
 from gaplab.errors import PositivityError
-from gaplab.expr import parse_sequence
+from gaplab.expr import eval_array, parse_sequence
 from gaplab.ratios import (
     check_candidate,
     estimate_r,
@@ -17,7 +18,7 @@ from gaplab.ratios import (
     summability_probe,
 )
 
-from oracles import brute_force_scan, mp_ratio_excess
+from oracles import brute_force_scan, gap_records, mp_ratio_excess
 
 
 def expr(text: str):
@@ -130,6 +131,28 @@ def test_comparison_range_validation():
         ratio_comparison(expr("1/n"), expr("1/n"), 1, 10)
     with pytest.raises(ValueError, match="empty"):
         ratio_comparison(expr("1/n"), expr("1/n"), 10, 9)
+
+
+@pytest.mark.parametrize(
+    "a_text,b_text",
+    [
+        ("1/(n^2)", "1/(n*ln(n)^2)"),  # violations exactly while ln n < 2
+        ("1/n", "1/(n^2)"),            # violated everywhere
+        ("1/(n^2)", "1/n"),            # never violated
+        ("1/(n*ln(n)^3)", "1/(n^2)"),  # violations start past the first chunk
+    ],
+)
+@pytest.mark.parametrize("n_lo,n_hi", [(2, 40), (3, 16), (6, 13), (7, 8), (9, 9)])
+def test_comparison_violations_are_chunk_invariant(monkeypatch, a_text, b_text, n_lo, n_hi):
+    a, b = expr(a_text), expr(b_text)
+    ns = np.arange(n_lo, n_hi + 2, dtype=np.int64)
+    va, vb = eval_array(a, ns), eval_array(b, ns)
+    direct = np.flatnonzero(~(va[:-1] / va[1:] >= vb[:-1] / vb[1:])) + n_lo
+    monkeypatch.setattr(ratios, "_CHUNK", 7)
+    res = ratio_comparison(a, b, n_lo, n_hi)
+    assert res.violation_count == len(direct)
+    assert res.first_violation == (int(direct[0]) if len(direct) else None)
+    assert res.last_violation == (int(direct[-1]) if len(direct) else None)
 
 
 def test_comparison_consequence_transfers_geometric_decay():
@@ -281,6 +304,53 @@ def test_borderline_hits_are_flagged():
     assert just_over.borderline_count >= 1
     just_under = prime_ratio_scan(r_star * (1 - 1e-13), 0.0, 12)
     assert all(h[0] != 2 for h in just_under.iter_hits())
+
+
+def _exact_margin(n: int, p: int, q: int, r: float, eps: float):
+    with mpmath.workdps(60):
+        rhs = 1 + (mpmath.mpf(r) + mpmath.mpf(eps)) / (n * mpmath.ln(n))
+        return (rhs - mpmath.mpf(q) / p) / rhs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_near_tie_decisions_match_exact_arithmetic(oracle_primes_1m, n):
+    # r_star puts the threshold exactly on g_n at index n; relative offsets
+    # from one ulp to 5e-9 land on both sides of the tie and on both sides
+    # of BORDERLINE_REL
+    _, p, q, g = gap_records(oracle_primes_1m, 100)[n - 1]
+    r_star = g * n * math.log(n) / p
+    rs = [
+        r_star * (1 + sign * m * 10.0**-k)
+        for k in range(9, 16)
+        for m in (1, 2, 5)
+        for sign in (1, -1)
+    ]
+    up = down = r_star
+    for _ in range(6):  # the closest ties float64 can express
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        rs += [float(up), float(down)]
+    primes = oracle_primes_1m[:30]
+    flagged = missed = 0
+    for r in rs:
+        hits = list(prime_ratio_scan(r, 0.0, 100).iter_hits())
+        assert [h[:4] for h in hits] == brute_force_scan(primes, r, 0.0, 100)
+        for hn, hp, hq, _g, _t, borderline in hits:
+            m = _exact_margin(hn, hp, hq, r, 0.0)
+            assert borderline == (0 < m < ratios.BORDERLINE_REL)
+        flagged += any(h[5] for h in hits if h[0] == n)
+        missed += all(h[0] != n for h in hits)
+    assert flagged and missed
+
+
+def test_scan_fast_path_makes_no_rechecks(monkeypatch):
+    calls = []
+    exact = ratios._recheck_mp
+    monkeypatch.setattr(
+        ratios, "_recheck_mp", lambda *args: calls.append(args) or exact(*args)
+    )
+    report = prime_ratio_scan(2.0, 0.0, 10**7, n_lo=10**5)
+    assert report.hit_count > 0
+    assert calls == []
 
 
 def test_tail_min_gap_is_suffix_minimum():
