@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -26,20 +27,29 @@ from gaplab.report import (
 from gaplab.series import reciprocal_prime_sum
 from gaplab.sieve import primes_upto
 
+from test_acceptance import _artifact_bytes
+
 
 def all_reports():
     tree = parse_sequence("1/ln(n)^2")
+    # every node type, Fraction literals with their lexemes included
+    every_op = parse_sequence("-(n^2.5 - 3)/ln(n) + 0.125*n")
     return [
         gpy_statistics(10**4),
         reciprocal_prime_sum(10**3),
+        reciprocal_prime_sum(100, checkpoints=[1, 4, 25]),  # n = 1: empty columns
         estimate_r(tree, 2**10),
         summability_probe(tree, 2**10),
         check_candidate(tree, 2.0, n_max=2**10),
+        check_candidate(parse_sequence("1/n"), 2.0, n_max=2**10),  # r_estimate is a str
         prime_ratio_scan(2.0, 0.0, 10**4),
+        prime_ratio_scan(0.01, 0.0, 100),  # no hits
         gap_bound_report(2.0, 0.0, 10**4),
+        gap_bound_report(0.01, 0.0, 100),  # no hits: null bound and minima
         literature_bounds(),
         SieveSummary(limit=100, prime_count=25, last_prime=97),
         ParsedExpression(expression="1/ln(n)^2", ast=tree),
+        ParsedExpression(expression="-((n^2.5 - 3))/ln(n) + 0.125*n", ast=every_op),
     ]
 
 
@@ -139,3 +149,111 @@ def test_parsed_scan_preserves_arrays():
     back = parse_report(to_json(report))
     assert np.array_equal(back.hits_n, report.hits_n)
     assert back.hits_threshold.dtype == np.float64
+
+
+def _sha256(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of the criterion-10 CLI artifacts, frozen from the hand-written
+# per-type serializer that preceded the field-driven one
+GOLDEN_CLI_SHA256 = {
+    "sieve.csv": "4acd8b01cac5f9704c6c0d6257bd1ad3f82123e76df965821f987514c15959b2",
+    "sieve.json": "b0af625bd9cf4fcf2dcb258f12078d670de5cd77425e8ca977b8d92693d7eec4",
+    "gaps.csv": "96c8685b3e623fdab246df29924acb9b582d4fbc3483321b570042e9c2cb840e",
+    "gaps.json": "33d7e823b17f303eb9968a1153a3d2c8c6aff5b70643b48a94ad6d8e9e9c8b0d",
+    "series.csv": "776d29bf39c86a7e025ba029fd80fe47f40e9844c5c3af195f8861de1fff5e68",
+    "series.json": "7739a5b7fb473d17fce3b57c401313184178d9bbff1a4b3818978258d34a1fdd",
+    "scan.csv": "7d85249df7511fd29669ad27d07ebf63b8149f22f30c38dbba2af7b851a5e099",
+    "scan.json": "d83fba8ae16b76fcdbf8ed0381ce3ad843ec911f7695e56b9ccf3c0534ca9615",
+    "bounds.csv": "e6b1ed5f3c696812738abca36d128d6627aa8b6b5a09f3dcfb9d378d7c0e7375",
+    "bounds.json": "be5a24a3a0686b4d0400ec068851c8ba9e8f7db94cf473930e2215c36aea951b",
+    "star.json": "7ad2e5cf40ee15abfb490211661fb89767ec8c88175b94601831be4139e5101a",
+    "parse.json": "c074b2d47db41b6da730c9f1faf5dfc1711801f52246bb57280542ba7ce9d885",
+}
+
+# (JSON, CSV) sha256 of each all_reports() entry; None: no CSV schema
+GOLDEN_REPORT_SHA256 = {
+    "0 GapStats": (
+        "c4b9832e006019ddbf1894b0ddd78252e9ff9da7c0d499ab7536c99b4ce095df",
+        "69d144d41feb3d03d89be9369fce1af8e963cd9c1fdeff64033e7c7330102de0",
+    ),
+    "1 list": (
+        "6b8f37e33d77e92577398d49f67949cf0f9a0de81ae0793c79390ec98953b947",
+        "96de1e796f941d7143f00ffce4ef4f70f6a7ecbdb1655bfa592173c901779696",
+    ),
+    "2 list": (
+        "002bcf7eef45b0179f72a2d4e7388681fce51f8449d68d25ded4c9a821b2e05f",
+        "aa4cd232d806d6f7af0554115c003d79767f2d6ab7c1d9a9470ae2a8e0fe0c51",
+    ),
+    "3 RatioDiagnostics": (
+        "98644777f9af168ad380fbc1010f056076c123a92c5f7002fb7c4c50ac56b1e7",
+        None,
+    ),
+    "4 SummabilityVerdict": (
+        "392209bf868796b1b6a29f0d84ed72732e0ee55eb341b068c0e2b9ff4666e712",
+        None,
+    ),
+    "5 CandidateReport": (
+        "98aee26d753208917bd1fbaa1d6e29c0ec77f0e2e0d0d99acde27cc4b47e6d69",
+        None,
+    ),
+    "6 CandidateReport": (
+        "9ed682ce1a6be385cd49489acf0b38737fd2dc0a6ab36d462cce35bc8d71a060",
+        None,
+    ),
+    "7 ScanReport": (
+        "607f835399ea82966057e58629f6bc076487fdd7759ca25b515a9c7867bd3f63",
+        "fd4e10038045acda9e75c9c199c8db035ebfe4592ab202b87ceb777478481d0b",
+    ),
+    "8 ScanReport": (
+        "266a9cab2fd1984941ea4650fc04c4583cad9b8cb9e8b195194b2084061924c5",
+        "1fd9621d07cc7a9138b89f1386d59e152b6d724f744f63a3f8ff70a733e455e9",
+    ),
+    "9 GapBoundSummary": (
+        "15426521fda1b7b2881fce51acf5405072f658d7f730e2bc8b6445f2cd33909e",
+        "fd4e10038045acda9e75c9c199c8db035ebfe4592ab202b87ceb777478481d0b",
+    ),
+    "10 GapBoundSummary": (
+        "acec723ce3292625aacad18fe0ce7d16727af410892270040e6984eb923ac4de",
+        "1fd9621d07cc7a9138b89f1386d59e152b6d724f744f63a3f8ff70a733e455e9",
+    ),
+    "11 dict": (
+        "be5a24a3a0686b4d0400ec068851c8ba9e8f7db94cf473930e2215c36aea951b",
+        "e6b1ed5f3c696812738abca36d128d6627aa8b6b5a09f3dcfb9d378d7c0e7375",
+    ),
+    "12 SieveSummary": (
+        "12da455aa6878ee41cf2989f332dbd90f3bce1f836955cd6ea7a748ec35e2102",
+        None,
+    ),
+    "13 ParsedExpression": (
+        "77bd7e254b42d4f6025290e00b3c15b34eddaf10f50b15d4cf0fb578de0dad12",
+        None,
+    ),
+    "14 ParsedExpression": (
+        "9d51048b03bfcc1833f31a68f989d3fbba5f079936cb1f134153f8387bb4666d",
+        None,
+    ),
+}
+
+
+def test_cli_artifacts_match_golden_bytes(tmp_path):
+    artifacts = _artifact_bytes(tmp_path, "golden", threads=1)
+    assert {name: _sha256(data) for name, data in artifacts.items()} == GOLDEN_CLI_SHA256
+
+
+def _csv_sha256(report) -> str | None:
+    try:
+        return _sha256(to_csv(report))
+    except TypeError:
+        return None
+
+
+def test_report_exports_match_golden_bytes():
+    got = {
+        f"{i} {type(report).__name__}": (_sha256(to_json(report)), _csv_sha256(report))
+        for i, report in enumerate(all_reports())
+    }
+    assert got == GOLDEN_REPORT_SHA256
