@@ -36,9 +36,7 @@ from .expr import (
 )
 from .gaps import (
     GapBoundEntry,
-    GapRecord,
     GapStats,
-    gap_stream,
     gpy_statistics,
     iter_gap_blocks,
     literature_bounds,

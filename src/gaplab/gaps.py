@@ -21,25 +21,13 @@ import numpy as np
 from .sieve import sieve_primes
 
 __all__ = [
-    "GapRecord",
     "GapStats",
     "GapBoundEntry",
-    "gap_stream",
     "iter_gap_blocks",
     "polignac_count",
     "gpy_statistics",
     "literature_bounds",
 ]
-
-
-@dataclass(frozen=True)
-class GapRecord:
-    """One consecutive-prime pair: g_n = p_next - p_n, n is 1-based."""
-
-    n: int
-    p_n: int
-    p_next: int
-    g_n: int
 
 
 @dataclass
@@ -85,19 +73,6 @@ def iter_gap_blocks(
             yield n0, primes[:-1], np.diff(primes)
             n0 += len(primes) - 1
         carry = int(primes[-1])
-
-
-def gap_stream(
-    limit: int,
-    segment_size: int | None = None,
-    threads: int = 1,
-) -> Iterator[GapRecord]:
-    """One GapRecord per consecutive prime pair with p_next <= limit."""
-    for n0, p, g in iter_gap_blocks(limit, segment_size, threads):
-        for i in range(len(p)):
-            pi = int(p[i])
-            gi = int(g[i])
-            yield GapRecord(n=n0 + i, p_n=pi, p_next=pi + gi, g_n=gi)
 
 
 def polignac_count(k: int, limit: int, segment_size: int | None = None, threads: int = 1) -> int:

@@ -488,11 +488,15 @@ class ScanReport:
         return int(np.count_nonzero(self.hits_borderline))
 
     def iter_hits(self) -> Iterator[tuple[int, int, int, int, float, bool]]:
-        for i in range(self.hit_count):
-            n = int(self.hits_n[i])
-            p = int(self.hits_p[i])
-            g = int(self.hits_gap[i])
-            yield n, p, p + g, g, float(self.hits_threshold[i]), bool(self.hits_borderline[i])
+        """Hit rows (n, p_n, p_next, g_n, threshold, borderline) in index order."""
+        return zip(
+            self.hits_n.tolist(),
+            self.hits_p.tolist(),
+            (self.hits_p + self.hits_gap).tolist(),
+            self.hits_gap.tolist(),
+            self.hits_threshold.tolist(),
+            self.hits_borderline.tolist(),
+        )
 
 
 def _recheck_mp(n: int, p: int, g: int, r: float, epsilon: float) -> tuple[bool, bool]:

@@ -5,6 +5,22 @@ decimals and no thousands separators; every numeric value is printed with
 15 significant digits. Identical inputs therefore serialize to identical
 bytes on every platform and thread count. Each JSON document embeds the
 schema version and its report kind.
+
+One encoder (`_to_obj`) and its inverse (`_from_obj`), both driven by the
+report dataclasses, cover every report. Each dataclass field becomes a key
+of the same name; tuples and lists become lists; a Fraction becomes its
+str; an int-keyed dict (the gap histogram) becomes sorted [key, value]
+pairs; an expression node adds "op", its class name in lower case. The
+decoder follows the field type hints: ints become floats where the hint
+says float, and the SequenceExpr union is resolved through "op".
+
+Written out by hand, and only these: GapStats adds its "note"; ScanReport
+writes its hit arrays (array fields are never keys) as "hits" rows, the
+iter_hits() tuples, and adds "borderline_count"; the series list is wrapped as {"checkpoints": [...]}
+and the bounds table as {"bounds": {name: {"bound", "citation"}}}.
+
+CSV: each artifact is one (header, rows) table, written by one writer; the
+series and bounds headers are their dataclass field names.
 """
 
 from __future__ import annotations
@@ -13,23 +29,14 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .expr import (
-    Add,
-    Div,
-    Ln,
-    Mul,
-    Neg,
-    Number,
-    Pow,
-    SequenceExpr,
-    Sub,
-    Var,
-)
+from .expr import SequenceExpr
 from .gaps import GapBoundEntry, GapStats
 from .ratios import (
     CandidateReport,
@@ -74,11 +81,74 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
+# the two container reports, named by their item type
+_SERIES = list[SeriesCheckpoint]
+_BOUNDS = dict[str, GapBoundEntry]
+
+_KINDS = {
+    GapStats: "gap_stats",
+    _SERIES: "series_checkpoints",
+    RatioDiagnostics: "ratio_diagnostics",
+    SummabilityVerdict: "summability_verdict",
+    CandidateReport: "candidate_report",
+    ScanReport: "scan_report",
+    GapBoundSummary: "gap_bound_summary",
+    _BOUNDS: "literature_gap_bounds",
+    SieveSummary: "sieve_summary",
+    ParsedExpression: "sequence_expression",
+}
+_TYPES = {kind: t for t, kind in _KINDS.items()}
+
+_NODE_TYPES = typing.get_args(SequenceExpr)
+_NODES = {cls.__name__.lower(): cls for cls in _NODE_TYPES}
+
+_GAP_NOTE = "minima and tail minima are finite-range proxies for liminf claims, evidence not proof"
+
+_HIT_COLUMNS = ("n", "p_n", "p_next", "g_n", "threshold", "borderline")
+
+
+def _report_type(report):
+    """The key of `report` in _KINDS; a non-empty container is named by its items."""
+    if isinstance(report, list) and report and all(isinstance(r, SeriesCheckpoint) for r in report):
+        return _SERIES
+    if isinstance(report, dict) and report and all(isinstance(e, GapBoundEntry) for e in report.values()):
+        return _BOUNDS
+    return type(report)
+
+
 # ---------------------------------------------------------------------------
-# JSON writer (hand-rolled so the float format is ours, keys sorted)
+# encoder
+
+
+def _to_obj(value):
+    """A report value as plain lists, dicts and scalars (rules above)."""
+    if is_dataclass(value):
+        obj = {
+            f.name: _to_obj(v)
+            for f in fields(value)
+            if not isinstance(v := getattr(value, f.name), np.ndarray)
+        }
+        if isinstance(value, _NODE_TYPES):
+            obj["op"] = type(value).__name__.lower()
+        elif isinstance(value, GapStats):
+            obj["note"] = _GAP_NOTE
+        elif isinstance(value, ScanReport):
+            obj["hits"] = list(value.iter_hits())
+            obj["borderline_count"] = value.borderline_count
+        return obj
+    if isinstance(value, (list, tuple)):
+        return [_to_obj(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        if all(isinstance(k, int) for k in value):
+            return [[k, _to_obj(v)] for k, v in sorted(value.items())]
+        return {k: _to_obj(v) for k, v in value.items()}
+    return value
 
 
 def _json_value(value) -> str:
+    """JSON text of a _to_obj result: keys sorted, floats via format_float."""
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -89,8 +159,6 @@ def _json_value(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format_float(float(value))
-    if isinstance(value, np.ndarray):
-        return _json_value(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_json_value(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -103,198 +171,77 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-def _dumps(kind: str, payload: dict) -> str:
-    doc = dict(payload)
+def to_json(report) -> str:
+    """Serialize any registered report to deterministic JSON."""
+    rtype = _report_type(report)
+    if rtype not in _KINDS:
+        raise TypeError(f"no JSON schema registered for {type(report).__name__}")
+    if rtype == _SERIES:
+        doc = {"checkpoints": _to_obj(report)}
+    elif rtype == _BOUNDS:
+        doc = {
+            "bounds": {
+                name: {k: v for k, v in _to_obj(e).items() if k != "name"}
+                for name, e in report.items()
+            }
+        }
+    else:
+        doc = _to_obj(report)
     doc["schema_version"] = SCHEMA_VERSION
-    doc["report"] = kind
+    doc["report"] = _KINDS[rtype]
     return _json_value(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# per-type JSON payloads
+# decoder (round-trip support)
 
 
-def _expr_to_obj(node: SequenceExpr):
-    if isinstance(node, Number):
-        return {"op": "number", "value": str(node.value), "lexeme": node.lexeme}
-    if isinstance(node, Var):
-        return {"op": "var"}
-    if isinstance(node, Ln):
-        return {"op": "ln", "arg": _expr_to_obj(node.arg)}
-    if isinstance(node, Neg):
-        return {"op": "neg", "arg": _expr_to_obj(node.arg)}
-    ops = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
-    for cls, name in ops.items():
-        if isinstance(node, cls):
-            return {"op": name, "left": _expr_to_obj(node.left), "right": _expr_to_obj(node.right)}
-    if isinstance(node, Pow):
-        return {"op": "pow", "base": _expr_to_obj(node.base), "exponent": _expr_to_obj(node.exponent)}
-    raise TypeError(f"not a sequence expression node: {node!r}")
+def _from_obj(hint, value):
+    """Inverse of _to_obj for a value of type `hint`."""
+    if value is None:
+        return None
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if isinstance(value, dict):  # an expression node
+            cls = _NODES.get(value.get("op"))
+            if cls is None:
+                raise ValueError(f"unknown expression op {value.get('op')!r}")
+            return _from_obj(cls, value)
+        if float in args and isinstance(value, int) and not isinstance(value, bool):
+            return float(value)
+        return value
+    if hint is float:
+        return float(value)
+    if hint is Fraction:
+        return Fraction(value)
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        kwargs = {f.name: _from_obj(hints[f.name], value[f.name]) for f in fields(hint) if f.name in value}
+        if hint is ScanReport:
+            kwargs.update(_hit_columns(value["hits"]))
+        return hint(**kwargs)
+    if origin is list:
+        return [_from_obj(args[0], v) for v in value]
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(_from_obj(args[0], v) for v in value)
+        return tuple(_from_obj(a, v) for a, v in zip(args, value))
+    if origin is dict:
+        if args[0] is int:
+            return {int(k): _from_obj(args[1], v) for k, v in value}
+        return {k: _from_obj(args[1], v) for k, v in value.items()}
+    return value
 
 
-def _expr_from_obj(obj) -> SequenceExpr:
-    op = obj["op"]
-    if op == "number":
-        return Number(Fraction(obj["value"]), lexeme=obj.get("lexeme", ""))
-    if op == "var":
-        return Var()
-    if op == "ln":
-        return Ln(_expr_from_obj(obj["arg"]))
-    if op == "neg":
-        return Neg(_expr_from_obj(obj["arg"]))
-    if op in ("add", "sub", "mul", "div"):
-        cls = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[op]
-        return cls(_expr_from_obj(obj["left"]), _expr_from_obj(obj["right"]))
-    if op == "pow":
-        return Pow(_expr_from_obj(obj["base"]), _expr_from_obj(obj["exponent"]))
-    raise ValueError(f"unknown expression op {op!r}")
-
-
-def _gapstats_payload(s: GapStats) -> dict:
+def _hit_columns(rows: list) -> dict[str, np.ndarray]:
+    n, p, _q, g, t, b = zip(*rows) if rows else ((),) * len(_HIT_COLUMNS)
     return {
-        "limit": s.limit,
-        "total_gaps": s.total_gaps,
-        "histogram": [[k, v] for k, v in sorted(s.histogram.items())],
-        "gpy_min": s.gpy_min,
-        "gpy_sqrt_min": s.gpy_sqrt_min,
-        "min_gap_tail": [[c, m] for c, m in s.min_gap_tail],
-        "note": "minima and tail minima are finite-range proxies for liminf claims, evidence not proof",
+        "hits_n": np.array(n, dtype=np.int64),
+        "hits_p": np.array(p, dtype=np.int64),
+        "hits_gap": np.array(g, dtype=np.int64),
+        "hits_threshold": np.array(t, dtype=np.float64),
+        "hits_borderline": np.array(b, dtype=bool),
     }
-
-
-def _series_payload(rows: list[SeriesCheckpoint]) -> dict:
-    return {
-        "checkpoints": [
-            {
-                "n": r.n,
-                "p_n": r.p_n,
-                "partial_sum": r.partial_sum,
-                "pnt_ratio": r.pnt_ratio,
-                "loglog_gap": r.loglog_gap,
-            }
-            for r in rows
-        ]
-    }
-
-
-def _diagnostics_payload(d: RatioDiagnostics) -> dict:
-    return {
-        "samples": [[n, e] for n, e in d.samples],
-        "r_estimate": d.r_estimate,
-        "extrapolation_table": [[n, e, diff] for n, e, diff in d.extrapolation_table],
-        "remainder_trend": d.remainder_trend,
-        "r_reference": d.r_reference,
-    }
-
-
-def _summability_payload(v: SummabilityVerdict) -> dict:
-    return {
-        "verdict": v.verdict,
-        "partial_sums": [[n, s] for n, s in v.partial_sums],
-        "increments": [[n, s] for n, s in v.increments],
-        "geometric_decay": v.geometric_decay,
-        "reference_comparisons": v.reference_comparisons,
-        "method": v.method,
-    }
-
-
-def _candidate_payload(c: CandidateReport) -> dict:
-    return {
-        "expression": c.expression,
-        "r": c.r,
-        "n0": c.n0,
-        "n_max": c.n_max,
-        "diagnostics": _diagnostics_payload(c.diagnostics),
-        "max_excess_deviation": c.max_excess_deviation,
-        "summability": _summability_payload(c.summability),
-        "ratio_axis_pass": c.ratio_axis_pass,
-        "summability_axis_pass": c.summability_axis_pass,
-        "candidate": c.candidate,
-        "failed_axes": list(c.failed_axes),
-    }
-
-
-def _scan_payload(s: ScanReport) -> dict:
-    return {
-        "r": s.r,
-        "epsilon": s.epsilon,
-        "limit": s.limit,
-        "n_lo": s.n_lo,
-        "n_hi": s.n_hi,
-        "hit_count": s.hit_count,
-        "min_gap_among_hits": s.min_gap_among_hits,
-        "max_threshold_among_hits": s.max_threshold_among_hits,
-        "borderline_count": s.borderline_count,
-        "tail_min_gap": [[c, m] for c, m in s.tail_min_gap],
-        "hits": [[n, p, q, g, t, b] for n, p, q, g, t, b in s.iter_hits()],
-    }
-
-
-def _gap_bound_payload(g: GapBoundSummary) -> dict:
-    return {
-        "scan": _scan_payload(g.scan),
-        "implied_bound": g.implied_bound,
-        "statement": g.statement,
-    }
-
-
-def _bounds_payload(table: dict[str, GapBoundEntry]) -> dict:
-    return {
-        "bounds": {
-            name: {"bound": e.bound, "citation": e.citation} for name, e in table.items()
-        }
-    }
-
-
-def _is_bounds_table(report) -> bool:
-    return (
-        isinstance(report, dict)
-        and bool(report)
-        and all(isinstance(v, GapBoundEntry) for v in report.values())
-    )
-
-
-def _is_series_list(report) -> bool:
-    return (
-        isinstance(report, list)
-        and bool(report)
-        and all(isinstance(r, SeriesCheckpoint) for r in report)
-    )
-
-
-def to_json(report) -> str:
-    """Serialize any registered report to deterministic JSON."""
-    if isinstance(report, GapStats):
-        return _dumps("gap_stats", _gapstats_payload(report))
-    if _is_series_list(report):
-        return _dumps("series_checkpoints", _series_payload(report))
-    if isinstance(report, RatioDiagnostics):
-        return _dumps("ratio_diagnostics", _diagnostics_payload(report))
-    if isinstance(report, SummabilityVerdict):
-        return _dumps("summability_verdict", _summability_payload(report))
-    if isinstance(report, CandidateReport):
-        return _dumps("candidate_report", _candidate_payload(report))
-    if isinstance(report, ScanReport):
-        return _dumps("scan_report", _scan_payload(report))
-    if isinstance(report, GapBoundSummary):
-        return _dumps("gap_bound_summary", _gap_bound_payload(report))
-    if _is_bounds_table(report):
-        return _dumps("literature_gap_bounds", _bounds_payload(report))
-    if isinstance(report, SieveSummary):
-        return _dumps(
-            "sieve_summary",
-            {"limit": report.limit, "prime_count": report.prime_count, "last_prime": report.last_prime},
-        )
-    if isinstance(report, ParsedExpression):
-        return _dumps(
-            "sequence_expression",
-            {"expression": report.expression, "ast": _expr_to_obj(report.ast)},
-        )
-    raise TypeError(f"no JSON schema registered for {type(report).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# JSON reader (round-trip support)
 
 
 def parse_report(text: str | bytes):
@@ -303,116 +250,21 @@ def parse_report(text: str | bytes):
     kind = doc.get("report")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
-    if kind == "gap_stats":
-        return GapStats(
-            limit=doc["limit"],
-            total_gaps=doc["total_gaps"],
-            histogram={int(k): int(v) for k, v in doc["histogram"]},
-            gpy_min=doc["gpy_min"],
-            gpy_sqrt_min=doc["gpy_sqrt_min"],
-            min_gap_tail=[(int(c), int(m)) for c, m in doc["min_gap_tail"]],
-        )
-    if kind == "series_checkpoints":
-        return [
-            SeriesCheckpoint(
-                n=r["n"],
-                p_n=r["p_n"],
-                partial_sum=r["partial_sum"],
-                pnt_ratio=r["pnt_ratio"],
-                loglog_gap=r["loglog_gap"],
-            )
-            for r in doc["checkpoints"]
-        ]
-    if kind == "ratio_diagnostics":
-        return _diagnostics_from(doc)
-    if kind == "summability_verdict":
-        return _summability_from(doc)
-    if kind == "candidate_report":
-        return CandidateReport(
-            expression=doc["expression"],
-            r=doc["r"],
-            n0=doc["n0"],
-            n_max=doc["n_max"],
-            diagnostics=_diagnostics_from(doc["diagnostics"]),
-            max_excess_deviation=doc["max_excess_deviation"],
-            summability=_summability_from(doc["summability"]),
-            ratio_axis_pass=doc["ratio_axis_pass"],
-            summability_axis_pass=doc["summability_axis_pass"],
-            candidate=doc["candidate"],
-            failed_axes=tuple(doc["failed_axes"]),
-        )
-    if kind == "scan_report":
-        return _scan_from(doc)
-    if kind == "gap_bound_summary":
-        return GapBoundSummary(
-            scan=_scan_from(doc["scan"]),
-            implied_bound=doc["implied_bound"],
-            statement=doc["statement"],
-        )
-    if kind == "literature_gap_bounds":
+    if kind not in _TYPES:
+        raise ValueError(f"unknown report kind {kind!r}")
+    rtype = _TYPES[kind]
+    if rtype == _SERIES:
+        return _from_obj(_SERIES, doc["checkpoints"])
+    if rtype == _BOUNDS:
         return {
-            name: GapBoundEntry(name=name, bound=v["bound"], citation=v["citation"])
-            for name, v in doc["bounds"].items()
+            name: _from_obj(GapBoundEntry, {**e, "name": name})
+            for name, e in doc["bounds"].items()
         }
-    if kind == "sieve_summary":
-        return SieveSummary(
-            limit=doc["limit"], prime_count=doc["prime_count"], last_prime=doc["last_prime"]
-        )
-    if kind == "sequence_expression":
-        return ParsedExpression(expression=doc["expression"], ast=_expr_from_obj(doc["ast"]))
-    raise ValueError(f"unknown report kind {kind!r}")
-
-
-def _diagnostics_from(doc) -> RatioDiagnostics:
-    return RatioDiagnostics(
-        samples=[(int(n), float(e)) for n, e in doc["samples"]],
-        r_estimate=doc["r_estimate"],
-        extrapolation_table=[
-            (int(n), float(e), None if d is None else float(d))
-            for n, e, d in doc["extrapolation_table"]
-        ],
-        remainder_trend=doc["remainder_trend"],
-        r_reference=doc["r_reference"],
-    )
-
-
-def _summability_from(doc) -> SummabilityVerdict:
-    return SummabilityVerdict(
-        verdict=doc["verdict"],
-        partial_sums=[(int(n), float(s)) for n, s in doc["partial_sums"]],
-        increments=[(int(n), float(s)) for n, s in doc["increments"]],
-        geometric_decay=doc["geometric_decay"],
-        reference_comparisons=doc["reference_comparisons"],
-        method=doc["method"],
-    )
-
-
-def _scan_from(doc) -> ScanReport:
-    hits = doc["hits"]
-    return ScanReport(
-        r=doc["r"],
-        epsilon=doc["epsilon"],
-        limit=doc["limit"],
-        n_lo=doc["n_lo"],
-        n_hi=doc["n_hi"],
-        hit_count=doc["hit_count"],
-        hits_n=np.array([h[0] for h in hits], dtype=np.int64),
-        hits_p=np.array([h[1] for h in hits], dtype=np.int64),
-        hits_gap=np.array([h[3] for h in hits], dtype=np.int64),
-        hits_threshold=np.array([h[4] for h in hits], dtype=np.float64),
-        hits_borderline=np.array([h[5] for h in hits], dtype=bool),
-        min_gap_among_hits=doc["min_gap_among_hits"],
-        max_threshold_among_hits=doc["max_threshold_among_hits"],
-        tail_min_gap=[(int(c), int(m)) for c, m in doc["tail_min_gap"]],
-    )
+    return _from_obj(rtype, doc)
 
 
 # ---------------------------------------------------------------------------
 # CSV
-
-
-def _csv_writer(buf: io.StringIO) -> csv.writer:
-    return csv.writer(buf, lineterminator="\n")
 
 
 def _fmt_cell(v) -> str:
@@ -425,41 +277,39 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _field_table(cls, items):
+    names = tuple(f.name for f in fields(cls))
+    return names, ([_fmt_cell(getattr(x, name)) for name in names] for x in items)
+
+
+def _csv_table(report):
+    """A report's CSV schema as (header, rows); int and str cells stay as they are."""
+    rtype = _report_type(report)
+    if rtype is GapStats:
+        return ("gap", "count"), sorted(report.histogram.items())
+    if rtype == _SERIES:
+        return _field_table(SeriesCheckpoint, report)
+    if rtype == _BOUNDS:
+        return _field_table(GapBoundEntry, [report[name] for name in sorted(report)])
+    if rtype is ScanReport:
+        return _HIT_COLUMNS, (
+            (n, p, q, g, format_float(t), _fmt_cell(b)) for n, p, q, g, t, b in report.iter_hits()
+        )
+    if rtype is GapBoundSummary:
+        return _csv_table(report.scan)
+    if isinstance(report, np.ndarray) and report.dtype.kind == "i":
+        return ("index", "prime"), enumerate(report.tolist(), start=1)
+    raise TypeError(f"no CSV schema registered for {type(report).__name__}")
+
+
 def to_csv(report) -> str:
     """Serialize a report to its documented CSV schema."""
+    header, rows = _csv_table(report)
     buf = io.StringIO()
-    w = _csv_writer(buf)
-    if isinstance(report, GapStats):
-        w.writerow(["gap", "count"])
-        for k, v in sorted(report.histogram.items()):
-            w.writerow([k, v])
-        return buf.getvalue()
-    if _is_series_list(report):
-        w.writerow(["n", "p_n", "partial_sum", "pnt_ratio", "loglog_gap"])
-        for r in report:
-            w.writerow(
-                [r.n, r.p_n, _fmt_cell(r.partial_sum), _fmt_cell(r.pnt_ratio), _fmt_cell(r.loglog_gap)]
-            )
-        return buf.getvalue()
-    if isinstance(report, ScanReport):
-        w.writerow(["n", "p_n", "p_next", "g_n", "threshold", "borderline"])
-        for n, p, q, g, t, b in report.iter_hits():
-            w.writerow([n, p, q, g, _fmt_cell(t), _fmt_cell(b)])
-        return buf.getvalue()
-    if isinstance(report, GapBoundSummary):
-        return to_csv(report.scan)
-    if _is_bounds_table(report):
-        w.writerow(["name", "bound", "citation"])
-        for name in sorted(report):
-            e = report[name]
-            w.writerow([name, e.bound, e.citation])
-        return buf.getvalue()
-    if isinstance(report, np.ndarray) and report.dtype.kind == "i":
-        w.writerow(["index", "prime"])
-        for i, p in enumerate(report.tolist(), start=1):
-            w.writerow([i, p])
-        return buf.getvalue()
-    raise TypeError(f"no CSV schema registered for {type(report).__name__}")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def export_report(report, format: str) -> bytes:

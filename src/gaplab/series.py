@@ -68,7 +68,7 @@ def _track(
     count = 0
     last_prime = 0
 
-    pending = list(checkpoints) if explicit else None
+    next_index = 0  # into the explicit checkpoints
     next_dyadic = 2
 
     for block in sieve_primes(limit, segment_size, threads):
@@ -77,8 +77,9 @@ def _track(
         cuts: list[int] = []
         hi_index = count + len(primes)
         if explicit:
-            while pending and pending[0] <= hi_index:
-                cuts.append(pending.pop(0))
+            while next_index < len(checkpoints) and checkpoints[next_index] <= hi_index:
+                cuts.append(checkpoints[next_index])
+                next_index += 1
         else:
             while next_dyadic <= hi_index:
                 cuts.append(next_dyadic)
@@ -94,9 +95,9 @@ def _track(
                 out.append(_checkpoint_record(cuts[i], last_prime, acc))
 
     if explicit:
-        if pending:
+        if next_index < len(checkpoints):
             raise ValueError(
-                f"checkpoint {pending[0]} exceeds the prime count {count} for limit {limit}"
+                f"checkpoint {checkpoints[next_index]} exceeds the prime count {count} for limit {limit}"
             )
     elif not out or out[-1].n != count:
         out.append(_checkpoint_record(count, last_prime, acc))

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gaplab
 from gaplab.cli import RunConfig, UsageError, main, run
 
 from oracles import count_gaps
@@ -179,10 +182,14 @@ def test_stdout_dash_is_stdout(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child must import the gaplab under test, installed or not
+    package_root = str(Path(gaplab.__file__).resolve().parent.parent)
+    child_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gaplab", "sieve", "--limit", "50"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": child_path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["prime_count"] == 15

@@ -3,9 +3,8 @@ import math
 import pytest
 
 from gaplab.gaps import (
-    GapRecord,
-    gap_stream,
     gpy_statistics,
+    iter_gap_blocks,
     literature_bounds,
     polignac_count,
 )
@@ -13,29 +12,36 @@ from gaplab.gaps import (
 from oracles import count_gaps, gap_records
 
 
-def test_gap_stream_first_records():
-    records = list(gap_stream(12))
-    assert records == [
-        GapRecord(1, 2, 3, 1),
-        GapRecord(2, 3, 5, 2),
-        GapRecord(3, 5, 7, 2),
-        GapRecord(4, 7, 11, 4),
+def _block_records(limit, segment_size=None):
+    """(n, p_n, p_next, g_n) for every pair, flattened from the blocks."""
+    return [
+        (n0 + i, p, p + g, g)
+        for n0, ps, gs in iter_gap_blocks(limit, segment_size)
+        for i, (p, g) in enumerate(zip(ps.tolist(), gs.tolist()))
     ]
 
 
-def test_gap_stream_limit_30_matches_oracle(oracle_primes_1m):
-    records = [(r.n, r.p_n, r.p_next, r.g_n) for r in gap_stream(30)]
+def test_iter_gap_blocks_first_records():
+    assert _block_records(12) == [(1, 2, 3, 1), (2, 3, 5, 2), (3, 5, 7, 2), (4, 7, 11, 4)]
+
+
+def test_iter_gap_blocks_limit_30_matches_oracle(oracle_primes_1m):
+    records = _block_records(30)
     assert records == gap_records(oracle_primes_1m, 30)
     assert records[-1] == (9, 23, 29, 6)
 
 
-def test_gap_stream_count_at_1e6():
-    assert sum(1 for _ in gap_stream(10**6)) == 78497  # pi(10^6) - 1
+def test_iter_gap_blocks_count_at_1e6():
+    blocks = list(iter_gap_blocks(10**6, segment_size=4096))
+    assert len(blocks) > 1  # pairs straddling a segment edge are carried over
+    assert sum(len(g) for _n0, _p, g in blocks) == 78497  # pi(10^6) - 1
+    starts = [n0 for n0, _p, _g in blocks]
+    assert starts == [1] + [n0 + len(g) for n0, _p, g in blocks[:-1]]
 
 
-def test_gap_stream_requires_a_pair():
+def test_iter_gap_blocks_requires_a_pair():
     with pytest.raises(ValueError):
-        next(gap_stream(2))
+        next(iter_gap_blocks(2))
 
 
 def test_twin_counts(oracle_primes_1m):

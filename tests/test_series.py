@@ -50,6 +50,18 @@ def test_default_checkpoints_are_dyadic_plus_final():
     assert [r.n for r in rows] == [2, 4, 8, 16, 25]
 
 
+def test_every_index_as_a_checkpoint(oracle_primes_1m):
+    every = list(range(1, 9593))  # pi(10^5) = 9592
+    rows = reciprocal_prime_sum(10**5, checkpoints=every, segment_size=64)
+    assert rows == reciprocal_prime_sum(10**5, checkpoints=every)
+    assert [r.n for r in rows] == every
+    assert [r.p_n for r in rows] == oracle_primes_1m[:9592]
+    for n in (1, 2, 97, 1000, 4096, 9592):
+        ref = reciprocal_sum_mp(oracle_primes_1m, rows[n - 1].p_n, dps=40)
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(rows[n - 1].partial_sum) - ref) / ref < mpmath.mpf(1e-15)
+
+
 def test_loglog_gap_none_while_p_below_3():
     rows = reciprocal_prime_sum(10, checkpoints=[1, 2])
     assert rows[0].p_n == 2
