@@ -8,7 +8,7 @@ from gaplab import (
     EvalError,
     ExprSyntaxError,
     PositivityError,
-    eval_sequence,
+    eval_sequence_mp,
     format_sequence,
     parse_sequence,
 )
@@ -23,7 +23,7 @@ print("unary minus lives at atom level, so -n^2 is (-n)^2.")
 print()
 print("== evaluation ==")
 for text, n in (("n", 7), ("1/(n^2)", 4), ("1/(n*ln(n)^1.5)", 10), ("ln(ln(n))", 100)):
-    print(f"  {text} at n={n}: {eval_sequence(parse_sequence(text), n)!r}")
+    print(f"  {text} at n={n}: {float(eval_sequence_mp(parse_sequence(text), n))!r}")
 
 print()
 print("== the errors are part of the contract ==")
@@ -36,11 +36,11 @@ try:
 except ExprSyntaxError as exc:
     print(f"  '1/log(n)'   -> {exc}")
 try:
-    eval_sequence(parse_sequence("1/ln(n)"), 1)
+    eval_sequence_mp(parse_sequence("1/ln(n)"), 1)
 except EvalError as exc:
     print(f"  '1/ln(n)'@1  -> {exc}")
 try:
-    eval_sequence(parse_sequence("n-5"), 3)
+    eval_sequence_mp(parse_sequence("n-5"), 3)
 except PositivityError as exc:
     print(f"  'n-5'@3      -> {exc}")
 print("positive terms are required throughout: every analysis downstream")

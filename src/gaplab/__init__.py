@@ -29,7 +29,6 @@ from .expr import (
     Sub,
     Var,
     eval_array,
-    eval_sequence,
     eval_sequence_mp,
     format_sequence,
     parse_sequence,

@@ -15,7 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import ExprSyntaxError
 from .expr import format_sequence, parse_sequence
@@ -23,7 +26,7 @@ from .gaps import gpy_statistics, literature_bounds
 from .ratios import check_candidate, gap_bound_report, prime_ratio_scan
 from .report import ParsedExpression, SieveSummary, export_report
 from .series import reciprocal_prime_sum
-from .sieve import primes_upto, write_prime_dump
+from .sieve import sieve_primes, write_dump_block
 
 __all__ = ["RunConfig", "UsageError", "run", "main"]
 
@@ -85,17 +88,7 @@ def run(config: RunConfig) -> int:
     cmd = config.command
 
     if cmd == "sieve":
-        primes = primes_upto(config.limit, config.segment_size, config.threads)
-        if config.dump:
-            write_prime_dump(config.dump, config.limit, config.segment_size, config.threads)
-        if config.format == "json":
-            artifact = SieveSummary(
-                limit=config.limit,
-                prime_count=int(len(primes)),
-                last_prime=int(primes[-1]) if len(primes) else 0,
-            )
-        else:
-            artifact = primes
+        artifact = _sieve_artifact(config)
     elif cmd == "gaps":
         artifact = gpy_statistics(config.limit, config.segment_size, config.threads)
     elif cmd == "series":
@@ -132,6 +125,24 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+def _sieve_artifact(config: RunConfig):
+    """One pass over the primes feeds the summary, the CSV rows and the dump."""
+    keep = config.format == "csv"
+    kept = []
+    count = last = 0
+    with open(config.dump, "wb") if config.dump else nullcontext() as dump:
+        for block in sieve_primes(config.limit, config.segment_size, config.threads):
+            if dump:
+                write_dump_block(dump, block)
+            if keep:
+                kept.append(block.primes)
+            count += len(block)
+            last = int(block.primes[-1])
+    if keep:
+        return np.concatenate(kept)
+    return SieveSummary(limit=config.limit, prime_count=count, last_prime=last)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -161,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--segment-size", type=int, default=None,
                         help="odd numbers per sieve segment (output-invariant)")
     stream.add_argument("--threads", type=int, default=None,
-                        help="sieve segments concurrently (output-invariant)")
+                        help="accepted and ignored (must be >= 1); the sieve runs on one thread")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("sieve", parents=[common, stream], help="prime counts and dumps")

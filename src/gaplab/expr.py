@@ -14,7 +14,7 @@ at parse time. Only n and ln are built in: ln-based closed forms cover
 the sequence families this library analyzes, and anything else would be
 an untestable extension.
 
-Two evaluation lanes: eval_sequence computes one value through mpmath at
+Two evaluation lanes: eval_sequence_mp computes one value through mpmath at
 extended precision; eval_array is the float64 bulk lane used for partial
 sums and range comparisons over millions of indices.
 """
@@ -43,7 +43,6 @@ __all__ = [
     "SequenceExpr",
     "parse_sequence",
     "format_sequence",
-    "eval_sequence",
     "eval_sequence_mp",
     "eval_array",
 ]
@@ -421,11 +420,6 @@ def eval_sequence_mp(expr: SequenceExpr, n: int):
         return val
 
 
-def eval_sequence(expr: SequenceExpr, n: int) -> float:
-    """Evaluate at integer n >= 1; extended precision inside, float out."""
-    return float(eval_sequence_mp(expr, n))
-
-
 # ---------------------------------------------------------------------------
 # evaluation: float64 bulk lane
 
@@ -496,7 +490,7 @@ def _eval_np(node: SequenceExpr, x: np.ndarray, ns: np.ndarray):
 def eval_array(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
     """Evaluate at every index in ns (float64 lane).
 
-    Same error contract as eval_sequence, reported at the first offending
+    Same error contract as eval_sequence_mp, reported at the first offending
     index; the whole result must be finite and strictly positive.
     """
     ns = np.asarray(ns)

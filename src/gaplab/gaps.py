@@ -83,11 +83,9 @@ def polignac_count(k: int, limit: int, segment_size: int | None = None, threads:
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"gap value must be a positive even integer, got {k}")
-    total = 0
-    for n0, _p, g in iter_gap_blocks(limit, segment_size, threads):
-        ns = n0 + np.arange(len(g))
-        total += int(np.count_nonzero((g == k) & (ns >= 2)))
-    return total
+    # k is even and g_1 = 1 is not, so n = 1 never counts
+    blocks = iter_gap_blocks(limit, segment_size, threads)
+    return sum(int(np.count_nonzero(g == k)) for _n0, _p, g in blocks)
 
 
 def _dyadic_upto(n: int, start: int = 2) -> list[int]:
@@ -112,7 +110,7 @@ def gpy_statistics(
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5 so that an n >= 2 pair exists, got {limit}")
-    histogram: dict[int, int] = {}
+    hist = np.zeros(0, dtype=np.int64)
     gpy_min = math.inf
     gpy_sqrt_min = math.inf
     total = 0
@@ -125,36 +123,33 @@ def gpy_statistics(
     cp_start = 2
 
     for n0, p, g in iter_gap_blocks(limit, segment_size, threads):
-        vals, counts = np.unique(g, return_counts=True)
-        for v, c in zip(vals.tolist(), counts.tolist()):
-            histogram[v] = histogram.get(v, 0) + c
+        counts = np.bincount(g, minlength=len(hist))
+        counts[: len(hist)] += hist
+        hist = counts
         total += len(g)
 
-        ns = n0 + np.arange(len(g))
-        mask = ns >= 2
-        if mask.any():
-            pm = p[mask].astype(np.float64)
-            gm = g[mask].astype(np.float64)
-            logs = np.log(pm)
-            gpy_min = min(gpy_min, float(np.min(gm / logs)))
-            gpy_sqrt_min = min(
-                gpy_sqrt_min, float(np.min(gm / (np.sqrt(logs) * np.log(logs) ** 2)))
-            )
-            # walk checkpoint boundaries that fall inside this block
-            gi = g[mask]
-            nsi = ns[mask]
-            lo = 0
-            while lo < len(nsi):
-                hi = len(nsi) if next_cp > nsi[-1] else int(np.searchsorted(nsi, next_cp))
-                if hi > lo:
-                    cur_min = min(cur_min, int(gi[lo:hi].min()))
-                if next_cp > nsi[-1]:
-                    break
-                interval_mins.append((cp_start, cur_min))
-                cur_min = np.iinfo(np.int64).max
-                cp_start = next_cp
-                next_cp *= 2
-                lo = hi
+        if n0 == 1:
+            # the minima start at n = 2; the first block holds 2, 3 and 5
+            n0, p, g = 2, p[1:], g[1:]
+        logs = np.log(p.astype(np.float64))
+        gm = g.astype(np.float64)
+        gpy_min = min(gpy_min, float(np.min(gm / logs)))
+        gpy_sqrt_min = min(
+            gpy_sqrt_min, float(np.min(gm / (np.sqrt(logs) * np.log(logs) ** 2)))
+        )
+        # walk the checkpoint boundaries that fall inside this block;
+        # g[i] is g_(n0+i)
+        lo = 0
+        while next_cp < n0 + len(g):
+            hi = next_cp - n0
+            if hi > lo:
+                cur_min = min(cur_min, int(g[lo:hi].min()))
+            interval_mins.append((cp_start, cur_min))
+            cur_min = np.iinfo(np.int64).max
+            cp_start = next_cp
+            next_cp *= 2
+            lo = hi
+        cur_min = min(cur_min, int(g[lo:].min()))
     interval_mins.append((cp_start, cur_min))
 
     # suffix minima turn per-interval minima into from-checkpoint-onward minima
@@ -168,7 +163,7 @@ def gpy_statistics(
     return GapStats(
         limit=limit,
         total_gaps=total,
-        histogram=dict(sorted(histogram.items())),
+        histogram={k: c for k, c in enumerate(hist.tolist()) if c},
         gpy_min=gpy_min,
         gpy_sqrt_min=gpy_sqrt_min,
         min_gap_tail=tail,

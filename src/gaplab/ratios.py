@@ -455,6 +455,10 @@ def check_candidate(
 # ---------------------------------------------------------------------------
 # prime-ratio scan
 
+# ScanReport.iter_hits converts this many hit rows to Python values at a
+# time, so an export holds one chunk of rows, never all of them
+_HIT_ROWS = 1 << 16
+
 
 @dataclass
 class ScanReport:
@@ -489,14 +493,17 @@ class ScanReport:
 
     def iter_hits(self) -> Iterator[tuple[int, int, int, int, float, bool]]:
         """Hit rows (n, p_n, p_next, g_n, threshold, borderline) in index order."""
-        return zip(
-            self.hits_n.tolist(),
-            self.hits_p.tolist(),
-            (self.hits_p + self.hits_gap).tolist(),
-            self.hits_gap.tolist(),
-            self.hits_threshold.tolist(),
-            self.hits_borderline.tolist(),
-        )
+        for lo in range(0, len(self.hits_n), _HIT_ROWS):
+            rows = slice(lo, lo + _HIT_ROWS)
+            p, g = self.hits_p[rows], self.hits_gap[rows]
+            yield from zip(
+                self.hits_n[rows].tolist(),
+                p.tolist(),
+                (p + g).tolist(),
+                g.tolist(),
+                self.hits_threshold[rows].tolist(),
+                self.hits_borderline[rows].tolist(),
+            )
 
 
 def _recheck_mp(n: int, p: int, g: int, r: float, epsilon: float) -> tuple[bool, bool]:

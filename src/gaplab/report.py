@@ -16,7 +16,8 @@ says float, and the SequenceExpr union is resolved through "op".
 
 Written out by hand, and only these: GapStats adds its "note"; ScanReport
 writes its hit arrays (array fields are never keys) as "hits" rows, the
-iter_hits() tuples, and adds "borderline_count"; the series list is wrapped as {"checkpoints": [...]}
+iter_hits() tuples, each formatted as the iterator yields it, and adds
+"borderline_count"; the series list is wrapped as {"checkpoints": [...]}
 and the bounds table as {"bounds": {name: {"bound", "citation"}}}.
 
 CSV: each artifact is one (header, rows) table, written by one writer; the
@@ -31,6 +32,7 @@ import json
 import math
 import types
 import typing
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
@@ -133,7 +135,7 @@ def _to_obj(value):
         elif isinstance(value, GapStats):
             obj["note"] = _GAP_NOTE
         elif isinstance(value, ScanReport):
-            obj["hits"] = list(value.iter_hits())
+            obj["hits"] = value.iter_hits()
             obj["borderline_count"] = value.borderline_count
         return obj
     if isinstance(value, (list, tuple)):
@@ -159,7 +161,7 @@ def _json_value(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format_float(float(value))
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, Iterator)):
         return "[" + ",".join(_json_value(v) for v in value) + "]"
     if isinstance(value, dict):
         parts = []

@@ -1,21 +1,34 @@
 """Segmented prime sieve: the data substrate for every other module.
 
 Produces the primes in increasing order with correct 1-based global
-indices (p_1 = 2), at interactive speed up to limits of 10^9 and beyond.
-Segments are odd-only boolean bitmaps cleared with strided numpy writes.
-Output is independent of segment size and thread count by construction:
-each segment is a pure function of its range, and blocks are always
-delivered to consumers in index order.
+indices (p_1 = 2). Segments are odd-only boolean bitmaps, sieved one
+after another by one kernel:
+
+- a wheel pattern over odd indices, built once per call, already has the
+  multiples of 3, 5, 7, 11, 13 and 17 cleared (its period is
+  3*5*7*11*13*17 = 255,255 odd indices); each segment starts as a copy of
+  its window of the pattern, and the first segment restores those six
+  primes;
+- every base prime p > 17 up to sqrt(limit) keeps the offset of its next
+  odd multiple (p^2 first), relative to the current segment, in one int64
+  array; a segment clears with one strided write per base prime whose
+  p^2 lies below its end, and the offsets are carried to the next
+  segment without recomputing a start.
+
+sieve_primes turns each bitmap into a block of primes; prime_count only
+counts the bitmaps. The output does not depend on segment_size. The
+`threads` argument is accepted (it must be >= 1) and ignored: carried
+offsets make the kernel sequential.
+
+See Bays & Hudson, BIT 17 (1977), and Oliveira e Silva, Herzog & Pardi,
+Math. Comp. 83 (2014), for the segmented sieve with a pre-sieve.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -31,6 +44,7 @@ __all__ = [
     "prime_count",
     "nth_prime",
     "write_prime_dump",
+    "write_dump_block",
     "read_prime_dump",
 ]
 
@@ -44,6 +58,12 @@ MAX_LIMIT = 1 << 62
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 MIN_SEGMENT_SIZE = 64
+
+# Odd primes cleared by the wheel pattern instead of by strided writes
+_WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
+_WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)
+
+_TWO = np.array([2], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -78,21 +98,12 @@ def _small_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _sieve_segment(low: int, high: int, odd_base: np.ndarray) -> np.ndarray:
-    """Primes in [low, high) for odd low; odd_base = odd primes <= sqrt(high)."""
-    n_odds = (high - low + 1) // 2
-    mask = np.ones(n_odds, dtype=bool)
-    for p in odd_base.tolist():
-        p2 = p * p
-        if p2 >= high:
-            break
-        start = max(p2, ((low + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start >= high:
-            continue
-        mask[(start - low) // 2 :: p] = False
-    return low + 2 * np.flatnonzero(mask).astype(np.int64)
+def _wheel_pattern(length: int) -> np.ndarray:
+    """pattern[k] is True iff 2k + 1 has no factor among _WHEEL_PRIMES."""
+    pattern = np.ones(length, dtype=bool)
+    for q in _WHEEL_PRIMES:
+        pattern[(q - 1) // 2 :: q] = False
+    return pattern
 
 
 def _validate_limit(limit: int) -> int:
@@ -106,6 +117,56 @@ def _validate_limit(limit: int) -> int:
     return limit
 
 
+def _segments(
+    limit: int, segment_size: int | None, threads: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (low, mask) for the odd numbers in [3, limit], one segment at a time.
+
+    mask[i] is True iff low + 2i is prime. mask is a view of one buffer
+    that the next segment overwrites, so a consumer reads it before
+    asking for the next one.
+    """
+    if segment_size is None:
+        segment_size = DEFAULT_SEGMENT_SIZE
+    if segment_size < MIN_SEGMENT_SIZE:
+        raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    n_odds = (limit - 1) // 2
+    if n_odds < 1:
+        return
+
+    width = min(segment_size, n_odds)
+    pattern = _wheel_pattern(_WHEEL_PERIOD + width)
+    buf = np.empty(width, dtype=bool)
+
+    base = _small_sieve(math.isqrt(limit))
+    p = base[base > _WHEEL_PRIMES[-1]]
+    p2 = p * p
+    # odd-index offset of each base prime's next odd multiple (p^2 first),
+    # relative to the current segment's low
+    off = (p2 - 3) // 2
+
+    span = 2 * segment_size
+    for low in range(3, limit + 1, span):
+        high = min(low + span, limit + 1)
+        n = (high - low + 1) // 2
+        w = ((low - 1) // 2) % _WHEEL_PERIOD
+        mask = buf[:n]
+        mask[:] = pattern[w : w + n]
+        active = int(np.searchsorted(p2, high))
+        for q, o in zip(p[:active].tolist(), off[:active].tolist()):
+            mask[o::q] = False
+        if low == 3:
+            for q in _WHEEL_PRIMES:
+                if q < high:
+                    mask[(q - 3) // 2] = True
+        yield low, mask
+        off -= n
+        neg = off < 0
+        off[neg] %= p[neg]
+
+
 def sieve_primes(
     limit: int,
     segment_size: int | None = None,
@@ -117,62 +178,32 @@ def sieve_primes(
       limit: inclusive upper bound, >= 2.
       segment_size: odd numbers per segment (>= 64); default
         DEFAULT_SEGMENT_SIZE. The prime stream does not depend on it.
-      threads: sieve segments concurrently when > 1. Blocks are still
-        delivered in index order, so output is identical for any value.
+      threads: accepted for compatibility and ignored (must be >= 1);
+        segments are sieved one after another.
 
     Raises:
-      ValueError: limit < 2 or segment_size < 64.
+      ValueError: limit < 2, segment_size < 64 or threads < 1.
       CapacityError: limit exceeds MAX_LIMIT.
     """
     limit = _validate_limit(limit)
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    if segment_size is None:
-        segment_size = DEFAULT_SEGMENT_SIZE
-    if segment_size < MIN_SEGMENT_SIZE:
-        raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-    base = _small_sieve(math.isqrt(limit))
-    odd_base = base[1:] if len(base) else base
-
-    span = 2 * segment_size
-    bounds = [(low, min(low + span, limit + 1)) for low in range(3, limit + 1, span)]
-
-    def jobs() -> Iterator[np.ndarray]:
-        if threads == 1:
-            for low, high in bounds:
-                yield _sieve_segment(low, high, odd_base)
-        else:
-            # Bounded look-ahead keeps memory flat while segments are
-            # sieved concurrently; results are consumed strictly in order.
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                pending: deque = deque()
-                it = iter(bounds)
-                for low, high in islice(it, threads + 2):
-                    pending.append(pool.submit(_sieve_segment, low, high, odd_base))
-                while pending:
-                    done = pending.popleft()
-                    nxt = next(it, None)
-                    if nxt is not None:
-                        pending.append(pool.submit(_sieve_segment, *nxt, odd_base))
-                    yield done.result()
 
     count = 0
-    first = True
-    for seg_primes in jobs():
-        if first:
-            seg_primes = np.concatenate([np.array([2], dtype=np.int64), seg_primes])
-            first = False
-        if not len(seg_primes):
+    for low, mask in _segments(limit, segment_size, threads):
+        primes = np.flatnonzero(mask)
+        primes *= 2
+        primes += low
+        if low == 3:
+            primes = np.concatenate([_TWO, primes])
+        if not len(primes):
             continue
-        seg_primes.flags.writeable = False
-        yield PrimeBlock(start_index=count + 1, primes=seg_primes, limit_hint=limit)
-        count += len(seg_primes)
-    if first:
-        # limit in {2}: no odd segment was generated at all
-        two = np.array([2], dtype=np.int64)
+        primes.flags.writeable = False
+        yield PrimeBlock(start_index=count + 1, primes=primes, limit_hint=limit)
+        count += len(primes)
+    if count == 0:
+        # limit 2: there is no odd segment at all
+        two = _TWO.copy()
         two.flags.writeable = False
         yield PrimeBlock(start_index=1, primes=two, limit_hint=limit)
 
@@ -190,13 +221,17 @@ def primes_upto(limit: int, segment_size: int | None = None, threads: int = 1) -
 
 
 def prime_count(limit: int, segment_size: int | None = None, threads: int = 1) -> int:
-    """pi(limit): the number of primes <= limit. Zero for limit < 2."""
+    """pi(limit): the number of primes <= limit. Zero for limit < 2.
+
+    Counts each segment bitmap in place; no prime is materialized.
+    """
     limit = _validate_limit(limit)
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if limit < 2:
         return 0
-    return sum(len(b) for b in sieve_primes(limit, segment_size, threads))
+    odd = sum(int(np.count_nonzero(mask)) for _, mask in _segments(limit, segment_size, threads))
+    return 1 + odd
 
 
 def _nth_prime_bound(n: int) -> int:
@@ -239,9 +274,14 @@ def write_prime_dump(path: str, limit: int, segment_size: int | None = None, thr
     count = 0
     with open(path, "wb") as fh:
         for block in sieve_primes(limit, segment_size, threads):
-            block.primes.astype("<i8").tofile(fh)
+            write_dump_block(fh, block)
             count += len(block)
     return count
+
+
+def write_dump_block(fh: BinaryIO, block: PrimeBlock) -> None:
+    """Append one block to an open prime dump, in write_prime_dump's format."""
+    block.primes.astype("<i8").tofile(fh)
 
 
 def read_prime_dump(path: str) -> np.ndarray:

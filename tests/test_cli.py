@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaplab
+import gaplab.cli as cli
 from gaplab.cli import RunConfig, UsageError, main, run
+from gaplab.sieve import primes_upto, read_prime_dump
 
 from oracles import count_gaps
 
@@ -47,6 +50,33 @@ def test_sieve_dump(tmp_path, capsys):
     code, _, _ = invoke(["sieve", "--limit", "100", "--dump", str(dump)], capsys)
     assert code == 0
     assert dump.read_bytes()[:8] == (2).to_bytes(8, "little")
+
+
+def test_sieve_dump_is_written_in_the_same_pass(tmp_path, capsys, monkeypatch):
+    passes = []
+    sieve_primes = cli.sieve_primes
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return sieve_primes(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sieve_primes", counted)
+    expected = primes_upto(100_000)
+    for fmt in ("json", "csv"):
+        dump, out = tmp_path / f"{fmt}.bin", tmp_path / f"primes.{fmt}"
+        passes.clear()
+        code, _, _ = invoke(
+            ["sieve", "--limit", "100000", "--segment-size", "64", "--format", fmt]
+            + ["--dump", str(dump), "--out", str(out)],
+            capsys,
+        )
+        assert code == 0 and len(passes) == 1
+        assert np.array_equal(read_prime_dump(str(dump)), expected)
+        if fmt == "json":
+            doc = json.loads(out.read_text())
+            assert (doc["prime_count"], doc["last_prime"]) == (9592, 99991)
+        else:
+            assert out.read_text().splitlines()[-1] == "9592,99991"
 
 
 def test_scan_csv_twin_rows(tmp_path, capsys, oracle_primes_1m):

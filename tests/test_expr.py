@@ -23,7 +23,7 @@ from gaplab.expr import (
     Sub,
     Var,
     eval_array,
-    eval_sequence,
+    eval_sequence_mp,
     format_sequence,
     parse_sequence,
 )
@@ -116,13 +116,13 @@ def test_empty_and_malformed_numbers():
 
 
 def test_basic_values():
-    assert eval_sequence(parse_sequence("n"), 7) == 7.0
-    assert eval_sequence(parse_sequence("1/(n^2)"), 4) == 0.0625
+    assert float(eval_sequence_mp(parse_sequence("n"), 7)) == 7.0
+    assert float(eval_sequence_mp(parse_sequence("1/(n^2)"), 4)) == 0.0625
 
 
 def test_evaluation_matches_independent_calculator():
     expr = parse_sequence("1/(n*ln(n)^1.5)")
-    got = eval_sequence(expr, 10)
+    got = float(eval_sequence_mp(expr, 10))
     with mpmath.workdps(50):
         want = 1 / (10 * mpmath.ln(10) ** mpmath.mpf("1.5"))
         assert abs(got - float(want)) < 1e-12 * float(want)
@@ -131,27 +131,27 @@ def test_evaluation_matches_independent_calculator():
 
 def test_ln_of_one_divides_to_error():
     with pytest.raises(EvalError, match="division by zero"):
-        eval_sequence(parse_sequence("1/ln(n)"), 1)
+        eval_sequence_mp(parse_sequence("1/ln(n)"), 1)
 
 
 def test_ln_of_nonpositive_argument():
     with pytest.raises(EvalError, match="nonpositive"):
-        eval_sequence(parse_sequence("ln(n-5)"), 3)
+        eval_sequence_mp(parse_sequence("ln(n-5)"), 3)
 
 
 def test_positivity_is_enforced():
     with pytest.raises(PositivityError, match="not a positive sequence at n=3"):
-        eval_sequence(parse_sequence("n-5"), 3)
+        eval_sequence_mp(parse_sequence("n-5"), 3)
 
 
 def test_fractional_power_of_negative_base():
     with pytest.raises(EvalError, match="negative base"):
-        eval_sequence(parse_sequence("(n-5)^0.5"), 3)
+        eval_sequence_mp(parse_sequence("(n-5)^0.5"), 3)
 
 
 def test_index_must_be_positive():
     with pytest.raises(ValueError):
-        eval_sequence(parse_sequence("n"), 0)
+        eval_sequence_mp(parse_sequence("n"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ EVAL_SAFE = [
 @pytest.mark.parametrize("n", [2, 10, 1000, 10**6])
 def test_eval_agrees_with_high_precision_reference(text, n):
     tree = parse_sequence(text)
-    got = eval_sequence(tree, n)
+    got = float(eval_sequence_mp(tree, n))
     with mpmath.workdps(60):
         want = _independent_eval(tree, mpmath.mpf(n))
         assert abs(mpmath.mpf(got) - want) <= abs(want) * 1e-12
@@ -294,7 +294,7 @@ def test_array_lane_matches_scalar_lane(text):
     ns = np.array([2, 3, 10, 97, 1000, 65536], dtype=np.int64)
     bulk = eval_array(tree, ns)
     for i, n in enumerate(ns.tolist()):
-        assert math.isclose(bulk[i], eval_sequence(tree, n), rel_tol=1e-12)
+        assert math.isclose(bulk[i], float(eval_sequence_mp(tree, n)), rel_tol=1e-12)
 
 
 def test_array_lane_error_reporting():

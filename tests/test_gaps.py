@@ -128,6 +128,18 @@ def test_min_gap_tail_matches_brute_force(oracle_primes_1m):
     assert [c for c, _ in stats.min_gap_tail] == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
+@pytest.mark.parametrize("segment_size", [64, None])
+def test_min_gap_tail_when_a_checkpoint_is_the_last_pair(oracle_primes_1m, segment_size):
+    # limit = p_(2^k + 1) makes n = 2^k the last pair; one less drops it
+    for k in (2, 3, 7, 10, 12):
+        for limit in (oracle_primes_1m[2**k] - 1, oracle_primes_1m[2**k]):
+            stats = gpy_statistics(limit, segment_size=segment_size)
+            records = [(n, g) for (n, _p, _q, g) in gap_records(oracle_primes_1m, limit) if n >= 2]
+            checkpoints = [2**j for j in range(1, 13) if 2**j <= records[-1][0]]
+            expected = [(c, min(g for n, g in records if n >= c)) for c in checkpoints]
+            assert stats.min_gap_tail == expected, limit
+
+
 def test_gpy_statistics_needs_a_usable_range():
     with pytest.raises(ValueError):
         gpy_statistics(4)

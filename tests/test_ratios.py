@@ -18,6 +18,8 @@ from gaplab.ratios import (
     summability_probe,
 )
 
+from gaplab.report import to_json
+
 from oracles import brute_force_scan, gap_records, mp_ratio_excess
 
 
@@ -263,6 +265,25 @@ def test_scan_limit_30(oracle_primes_1m):
     # thresholds sit in (2, 3.1] from n=3 on; the n=2 threshold is 4.328
     assert all(2 < t <= 3.1 for n, _p, _q, _g, t, _b in hits if n >= 3)
     assert math.isclose(hits[0][4], 4.328085122666891, rel_tol=1e-12)
+
+
+def test_hit_rows_are_chunk_invariant(monkeypatch):
+    report = prime_ratio_scan(2.0, 0.0, 10**4)
+    whole = list(
+        zip(
+            report.hits_n.tolist(),
+            report.hits_p.tolist(),
+            (report.hits_p + report.hits_gap).tolist(),
+            report.hits_gap.tolist(),
+            report.hits_threshold.tolist(),
+            report.hits_borderline.tolist(),
+        )
+    )
+    json_text = to_json(report)
+    monkeypatch.setattr(ratios, "_HIT_ROWS", 7)
+    assert len(whole) > 7 and len(whole) % 7
+    assert list(report.iter_hits()) == whole
+    assert to_json(report) == json_text
 
 
 def test_scan_matches_brute_force_oracle(oracle_primes_1m):

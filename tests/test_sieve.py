@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaplab.sieve as sieve
 from gaplab.errors import CapacityError
 from gaplab.sieve import (
     MAX_LIMIT,
@@ -135,3 +136,44 @@ def test_prime_dump_roundtrip(tmp_path):
     assert back.tolist() == primes_upto(1000).tolist()
     # little-endian contract: first value is 2
     assert path.read_bytes()[:8] == (2).to_bytes(8, "little")
+
+
+@pytest.fixture(scope="module")
+def oracle_2m() -> np.ndarray:
+    return np.array(dense_sieve(2_000_003), dtype=np.int64)
+
+
+@pytest.mark.parametrize("segment_size", [64, 101, 4099, 255_255, 1 << 20])
+def test_wheel_and_carried_offsets_match_dense_sieve(segment_size, oracle_2m):
+    # 64 odds per segment carries every base prime's offset across 15,625
+    # segments; 255,255 is one wheel period, 4099 and 101 never align with it
+    assert np.array_equal(primes_upto(2_000_003, segment_size=segment_size), oracle_2m)
+
+
+def test_limits_at_wheel_primes_and_period_edges(oracle_2m):
+    period_edge = 2 * 255_255 + 1
+    limits = [3, 5, 7, 9, 11, 13, 15, 17, 19, 23] + [period_edge + d for d in (-2, 0, 2)]
+    for limit in limits:
+        expected = oracle_2m[oracle_2m <= limit]
+        for segment_size in (64, 255_255, 1 << 20):
+            assert np.array_equal(primes_upto(limit, segment_size=segment_size), expected), (
+                limit, segment_size,
+            )
+            assert prime_count(limit, segment_size=segment_size) == len(expected)
+
+
+def test_prime_count_counts_bitmaps_without_materializing(monkeypatch):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("prime_count went through sieve_primes")
+
+    monkeypatch.setattr(sieve, "sieve_primes", no_blocks)
+    assert prime_count(10**8) == 5_761_455
+    assert prime_count(2_000_003, segment_size=64) == 148_934  # dense-sieve oracle
+
+
+def test_threads_is_validated_and_ignored():
+    with pytest.raises(ValueError):
+        prime_count(100, threads=0)
+    with pytest.raises(ValueError):
+        list(sieve_primes(100, threads=0))
+    assert prime_count(10**6, threads=8) == 78498
