@@ -5,8 +5,8 @@ trackers for the reciprocal-prime sum and the n ln n law, a small DSL for
 positive-sequence formulas, ratio-excess analysis of candidate sequences,
 and scans that turn ratio inequalities over real primes into concrete
 gap thresholds. Everything numerical is deterministic across segment
-sizes and thread counts; everything asymptotic is reported as
-finite-range evidence, never proof.
+sizes; everything asymptotic is reported as finite-range evidence, never
+proof.
 """
 
 from .accum import DoubleDouble, exact_block_sum, two_sum
@@ -70,13 +70,11 @@ from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
     PrimeBlock,
-    iter_primes,
     nth_prime,
     prime_count,
     primes_upto,
     read_prime_dump,
     sieve_primes,
-    write_prime_dump,
 )
 
 __version__ = "0.1.0"

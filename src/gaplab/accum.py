@@ -52,9 +52,6 @@ class DoubleDouble:
         t = self.lo + lo + e
         self.hi, self.lo = two_sum(s, t)
 
-    def add_block(self, values: Iterable[float]) -> None:
-        self.add(*exact_block_sum(values))
-
     def value(self) -> float:
         return self.hi + self.lo
 

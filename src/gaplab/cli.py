@@ -7,7 +7,8 @@ files regardless of --threads; all numeric output carries 15 significant
 digits.
 
 A JSON config file may supply any long-flag value (keys use underscores,
-e.g. {"limit": 1000000, "threads": 4}); explicit flags always win.
+e.g. {"limit": 1000000, "threads": 4}); each value must have its
+RunConfig field's type, and explicit flags always win.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .gaps import gpy_statistics, literature_bounds
 from .ratios import check_candidate, gap_bound_report, prime_ratio_scan
 from .report import ParsedExpression, SieveSummary, export_report
 from .series import reciprocal_prime_sum
-from .sieve import sieve_primes, write_dump_block
+from .sieve import MIN_SEGMENT_SIZE, sieve_primes, write_dump_block
 
 __all__ = ["RunConfig", "UsageError", "run", "main"]
 
@@ -78,6 +81,10 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"'{config.command}' supports only --format json")
     if config.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {config.threads}")
+    if config.segment_size is not None and config.segment_size < MIN_SEGMENT_SIZE:
+        raise UsageError(
+            f"--segment-size must be >= {MIN_SEGMENT_SIZE}, got {config.segment_size}"
+        )
     if config.dump is not None and config.command != "sieve":
         raise UsageError("--dump is only valid with 'sieve'")
 
@@ -90,11 +97,9 @@ def run(config: RunConfig) -> int:
     if cmd == "sieve":
         artifact = _sieve_artifact(config)
     elif cmd == "gaps":
-        artifact = gpy_statistics(config.limit, config.segment_size, config.threads)
+        artifact = gpy_statistics(config.limit, config.segment_size)
     elif cmd == "series":
-        artifact = reciprocal_prime_sum(
-            config.limit, config.checkpoints, config.segment_size, config.threads
-        )
+        artifact = reciprocal_prime_sum(config.limit, config.checkpoints, config.segment_size)
     elif cmd == "parse":
         ast = parse_sequence(config.expression)
         artifact = ParsedExpression(expression=format_sequence(ast), ast=ast)
@@ -104,13 +109,11 @@ def run(config: RunConfig) -> int:
     elif cmd == "scan":
         if config.summary:
             artifact = gap_bound_report(
-                config.r, config.epsilon, config.limit, config.n_lo,
-                config.segment_size, config.threads,
+                config.r, config.epsilon, config.limit, config.n_lo, config.segment_size
             )
         else:
             artifact = prime_ratio_scan(
-                config.r, config.epsilon, config.limit, config.n_lo,
-                config.segment_size, config.threads,
+                config.r, config.epsilon, config.limit, config.n_lo, config.segment_size
             )
     else:  # bounds
         artifact = literature_bounds()
@@ -131,7 +134,7 @@ def _sieve_artifact(config: RunConfig):
     kept = []
     count = last = 0
     with open(config.dump, "wb") if config.dump else nullcontext() as dump:
-        for block in sieve_primes(config.limit, config.segment_size, config.threads):
+        for block in sieve_primes(config.limit, config.segment_size):
             if dump:
                 write_dump_block(dump, block)
             if keep:
@@ -201,6 +204,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_HINTS = get_type_hints(RunConfig)
+
+
+def _fits(hint, val) -> bool:
+    """Whether a JSON value has the type a RunConfig field's hint names.
+
+    A bool is only a bool, and an int also fits a float.
+    """
+    if isinstance(hint, types.UnionType):
+        return any(_fits(h, val) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(val, list) and all(_fits(get_args(hint)[0], v) for v in val)
+    if isinstance(val, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(val, (int, float))
+    return isinstance(val, hint)
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -217,6 +237,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             key = key.replace("-", "_")
             if key not in _DEFAULTS or key == "command":
                 raise UsageError(f"config file {args.config}: unknown key {key!r}")
+            if not _fits(_HINTS[key], val):
+                hint = RunConfig.__annotations__[key]
+                raise UsageError(f"config file {args.config}: {key} must be {hint}, got {val!r}")
             # a flag left at its unset state defers to the file
             if values.get(key) is None or (key == "summary" and not values.get(key)):
                 values[key] = val

@@ -52,9 +52,7 @@ class GapStats:
 
 
 def iter_gap_blocks(
-    limit: int,
-    segment_size: int | None = None,
-    threads: int = 1,
+    limit: int, segment_size: int | None = None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (n0, p, g) arrays: p[i] = p_(n0+i), g[i] = p_(n0+i+1) - p[i].
 
@@ -64,7 +62,7 @@ def iter_gap_blocks(
         raise ValueError(f"limit must be >= 3 to contain a prime pair, got {limit}")
     carry: int | None = None
     n0 = 1
-    for block in sieve_primes(limit, segment_size, threads):
+    for block in sieve_primes(limit, segment_size):
         if carry is None:
             primes = block.primes
         else:
@@ -75,7 +73,7 @@ def iter_gap_blocks(
         carry = int(primes[-1])
 
 
-def polignac_count(k: int, limit: int, segment_size: int | None = None, threads: int = 1) -> int:
+def polignac_count(k: int, limit: int, segment_size: int | None = None) -> int:
     """Count of n >= 2 with g_n = k and p_next <= limit.
 
     k must be a positive even integer: every gap after g_1 is even, and
@@ -84,24 +82,11 @@ def polignac_count(k: int, limit: int, segment_size: int | None = None, threads:
     if k < 2 or k % 2 != 0:
         raise ValueError(f"gap value must be a positive even integer, got {k}")
     # k is even and g_1 = 1 is not, so n = 1 never counts
-    blocks = iter_gap_blocks(limit, segment_size, threads)
+    blocks = iter_gap_blocks(limit, segment_size)
     return sum(int(np.count_nonzero(g == k)) for _n0, _p, g in blocks)
 
 
-def _dyadic_upto(n: int, start: int = 2) -> list[int]:
-    out = []
-    c = start
-    while c <= n:
-        out.append(c)
-        c *= 2
-    return out
-
-
-def gpy_statistics(
-    limit: int,
-    segment_size: int | None = None,
-    threads: int = 1,
-) -> GapStats:
+def gpy_statistics(limit: int, segment_size: int | None = None) -> GapStats:
     """One-pass gap statistics over all pairs with p_next <= limit.
 
     Constant memory per distinct gap value; minima are accumulated in
@@ -122,7 +107,7 @@ def gpy_statistics(
     next_cp = 4
     cp_start = 2
 
-    for n0, p, g in iter_gap_blocks(limit, segment_size, threads):
+    for n0, p, g in iter_gap_blocks(limit, segment_size):
         counts = np.bincount(g, minlength=len(hist))
         counts[: len(hist)] += hist
         hist = counts

@@ -525,7 +525,6 @@ def prime_ratio_scan(
     limit: int = 1_000_000,
     n_lo: int = 2,
     segment_size: int | None = None,
-    threads: int = 1,
 ) -> ScanReport:
     """Scan all prime pairs with p_next <= limit for the ratio inequality.
 
@@ -559,7 +558,7 @@ def prime_ratio_scan(
     n_hi = 0
     scanned = 0
 
-    for n0, p, g in iter_gap_blocks(limit, segment_size, threads):
+    for n0, p, g in iter_gap_blocks(limit, segment_size):
         ns = n0 + np.arange(len(p), dtype=np.int64)
         n_hi = int(ns[-1])
         mask = ns >= n_lo
@@ -645,7 +644,6 @@ def gap_bound_report(
     limit: int = 1_000_000,
     n_lo: int = 2,
     segment_size: int | None = None,
-    threads: int = 1,
 ) -> GapBoundSummary:
     """Run the scan and phrase its finite-range reading.
 
@@ -655,7 +653,7 @@ def gap_bound_report(
     would be bounded by any eventual threshold ceiling. A finite scan
     cannot establish that; this is evidence, stated as such.
     """
-    scan = prime_ratio_scan(r, epsilon, limit, n_lo, segment_size, threads)
+    scan = prime_ratio_scan(r, epsilon, limit, n_lo, segment_size)
     if scan.hit_count:
         implied = math.ceil(scan.max_threshold_among_hits)
         statement = (

@@ -49,7 +49,6 @@ def _track(
     limit: int,
     checkpoints: list[int] | None,
     segment_size: int | None,
-    threads: int,
 ) -> list[SeriesCheckpoint]:
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -71,7 +70,7 @@ def _track(
     next_index = 0  # into the explicit checkpoints
     next_dyadic = 2
 
-    for block in sieve_primes(limit, segment_size, threads):
+    for block in sieve_primes(limit, segment_size):
         primes = block.primes
         # cut positions inside this block, in index order
         cuts: list[int] = []
@@ -108,23 +107,21 @@ def reciprocal_prime_sum(
     limit: int,
     checkpoints: list[int] | None = None,
     segment_size: int | None = None,
-    threads: int = 1,
 ) -> list[SeriesCheckpoint]:
     """Partial sums of 1/p_1 + 1/p_2 + ... at the checkpoint indices.
 
     Sums are accumulated in ascending prime order with a double-double
-    accumulator, so the reported values do not depend on segmentation or
-    thread count. Checkpoints default to powers of two plus the final
-    index; an explicit empty list is rejected.
+    accumulator, so the reported values do not depend on segmentation.
+    Checkpoints default to powers of two plus the final index; an explicit
+    empty list is rejected.
     """
-    return _track(limit, checkpoints, segment_size, threads)
+    return _track(limit, checkpoints, segment_size)
 
 
 def pnt_ratio_track(
     limit: int | None = None,
     checkpoints: list[int] | None = None,
     segment_size: int | None = None,
-    threads: int = 1,
 ) -> list[SeriesCheckpoint]:
     """p_n / (n ln n) at each checkpoint index (defined for n >= 2).
 
@@ -137,4 +134,4 @@ def pnt_ratio_track(
         if not checkpoints:
             raise ValueError("either a limit or explicit checkpoints are required")
         limit = _nth_prime_bound(max(checkpoints))
-    return _track(limit, checkpoints, segment_size, threads)
+    return _track(limit, checkpoints, segment_size)

@@ -16,9 +16,9 @@ after another by one kernel:
   segment without recomputing a start.
 
 sieve_primes turns each bitmap into a block of primes; prime_count only
-counts the bitmaps. The output does not depend on segment_size. The
-`threads` argument is accepted (it must be >= 1) and ignored: carried
-offsets make the kernel sequential.
+counts the bitmaps. The output does not depend on segment_size. Carried
+offsets make the kernel sequential, so no function here needs a thread
+count.
 
 See Bays & Hudson, BIT 17 (1977), and Oliveira e Silva, Herzog & Pardi,
 Math. Comp. 83 (2014), for the segmented sieve with a pre-sieve.
@@ -39,11 +39,9 @@ __all__ = [
     "DEFAULT_SEGMENT_SIZE",
     "PrimeBlock",
     "sieve_primes",
-    "iter_primes",
     "primes_upto",
     "prime_count",
     "nth_prime",
-    "write_prime_dump",
     "write_dump_block",
     "read_prime_dump",
 ]
@@ -76,11 +74,6 @@ class PrimeBlock:
 
     start_index: int
     primes: np.ndarray
-    limit_hint: int
-
-    @property
-    def end_index(self) -> int:
-        return self.start_index + len(self.primes) - 1
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -117,9 +110,7 @@ def _validate_limit(limit: int) -> int:
     return limit
 
 
-def _segments(
-    limit: int, segment_size: int | None, threads: int
-) -> Iterator[tuple[int, np.ndarray]]:
+def _segments(limit: int, segment_size: int | None) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (low, mask) for the odd numbers in [3, limit], one segment at a time.
 
     mask[i] is True iff low + 2i is prime. mask is a view of one buffer
@@ -130,8 +121,6 @@ def _segments(
         segment_size = DEFAULT_SEGMENT_SIZE
     if segment_size < MIN_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     n_odds = (limit - 1) // 2
     if n_odds < 1:
         return
@@ -170,6 +159,7 @@ def _segments(
 def sieve_primes(
     limit: int,
     segment_size: int | None = None,
+    *,
     threads: int = 1,
 ) -> Iterator[PrimeBlock]:
     """Stream every prime <= limit exactly once, in blocks, in index order.
@@ -178,19 +168,22 @@ def sieve_primes(
       limit: inclusive upper bound, >= 2.
       segment_size: odd numbers per segment (>= 64); default
         DEFAULT_SEGMENT_SIZE. The prime stream does not depend on it.
-      threads: accepted for compatibility and ignored (must be >= 1);
-        segments are sieved one after another.
+      threads: accepted and ignored (must be >= 1); segments are sieved
+        one after another. Kept only for perfbench/traced.py --speedup,
+        and removed together with its sieve.speedup_t2 metric.
 
     Raises:
       ValueError: limit < 2, segment_size < 64 or threads < 1.
       CapacityError: limit exceeds MAX_LIMIT.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     limit = _validate_limit(limit)
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
 
     count = 0
-    for low, mask in _segments(limit, segment_size, threads):
+    for low, mask in _segments(limit, segment_size):
         primes = np.flatnonzero(mask)
         primes *= 2
         primes += low
@@ -199,28 +192,22 @@ def sieve_primes(
         if not len(primes):
             continue
         primes.flags.writeable = False
-        yield PrimeBlock(start_index=count + 1, primes=primes, limit_hint=limit)
+        yield PrimeBlock(start_index=count + 1, primes=primes)
         count += len(primes)
     if count == 0:
         # limit 2: there is no odd segment at all
         two = _TWO.copy()
         two.flags.writeable = False
-        yield PrimeBlock(start_index=1, primes=two, limit_hint=limit)
+        yield PrimeBlock(start_index=1, primes=two)
 
 
-def iter_primes(limit: int, segment_size: int | None = None, threads: int = 1) -> Iterator[int]:
-    """Primes <= limit one by one, as Python ints."""
-    for block in sieve_primes(limit, segment_size, threads):
-        yield from block.primes.tolist()
-
-
-def primes_upto(limit: int, segment_size: int | None = None, threads: int = 1) -> np.ndarray:
+def primes_upto(limit: int, segment_size: int | None = None) -> np.ndarray:
     """All primes <= limit as one int64 array."""
-    blocks = [b.primes for b in sieve_primes(limit, segment_size, threads)]
+    blocks = [b.primes for b in sieve_primes(limit, segment_size)]
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
 
-def prime_count(limit: int, segment_size: int | None = None, threads: int = 1) -> int:
+def prime_count(limit: int, segment_size: int | None = None) -> int:
     """pi(limit): the number of primes <= limit. Zero for limit < 2.
 
     Counts each segment bitmap in place; no prime is materialized.
@@ -230,7 +217,7 @@ def prime_count(limit: int, segment_size: int | None = None, threads: int = 1) -
         raise ValueError(f"limit must be >= 0, got {limit}")
     if limit < 2:
         return 0
-    odd = sum(int(np.count_nonzero(mask)) for _, mask in _segments(limit, segment_size, threads))
+    odd = sum(int(np.count_nonzero(mask)) for _, mask in _segments(limit, segment_size))
     return 1 + odd
 
 
@@ -242,7 +229,7 @@ def _nth_prime_bound(n: int) -> int:
     return int(x * (math.log(x) + math.log(math.log(x)))) + 1
 
 
-def nth_prime(n: int, segment_size: int | None = None, threads: int = 1) -> int:
+def nth_prime(n: int, segment_size: int | None = None) -> int:
     """The n-th prime, 1-based: nth_prime(1) = 2.
 
     Raises:
@@ -256,7 +243,7 @@ def nth_prime(n: int, segment_size: int | None = None, threads: int = 1) -> int:
         raise CapacityError(f"p_{n} exceeds the supported maximum value {MAX_LIMIT}")
     while True:
         seen = 0
-        for block in sieve_primes(bound, segment_size, threads):
+        for block in sieve_primes(bound, segment_size):
             if seen + len(block) >= n:
                 return int(block.primes[n - 1 - seen])
             seen += len(block)
@@ -265,25 +252,15 @@ def nth_prime(n: int, segment_size: int | None = None, threads: int = 1) -> int:
         bound = bound * 2
 
 
-def write_prime_dump(path: str, limit: int, segment_size: int | None = None, threads: int = 1) -> int:
-    """Dump all primes <= limit as little-endian 64-bit integers.
-
-    Returns the number of primes written. The format is a raw
-    concatenation of '<i8' values, suitable for numpy.fromfile.
-    """
-    count = 0
-    with open(path, "wb") as fh:
-        for block in sieve_primes(limit, segment_size, threads):
-            write_dump_block(fh, block)
-            count += len(block)
-    return count
-
-
 def write_dump_block(fh: BinaryIO, block: PrimeBlock) -> None:
-    """Append one block to an open prime dump, in write_prime_dump's format."""
+    """Append one block to an open prime dump.
+
+    A dump is a raw concatenation of little-endian 64-bit integers ('<i8'),
+    in index order, suitable for numpy.fromfile.
+    """
     block.primes.astype("<i8").tofile(fh)
 
 
 def read_prime_dump(path: str) -> np.ndarray:
-    """Read a prime dump written by write_prime_dump."""
+    """Read a prime dump written block by block with write_dump_block."""
     return np.fromfile(path, dtype="<i8")

@@ -34,7 +34,7 @@ def test_double_double_reciprocal_sum_to_30_digits():
     acc = DoubleDouble()
     inv = 1.0 / np.arange(1.0, n + 1.0)
     for chunk in np.split(inv, 10):
-        acc.add_block(chunk)
+        acc.add(*exact_block_sum(chunk))
     with mpmath.workdps(60):
         # reference sums the same float64 terms, so only accumulation error shows
         ref = mpmath.fsum([mpmath.mpf(x) for x in inv.tolist()])

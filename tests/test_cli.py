@@ -194,6 +194,36 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown key" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, file_values", [
+    (["bounds"], {"output": 1}),
+    (["scan", "--limit", "100", "--r", "2"], {"summary": "no"}),
+    (["gaps"], {"limit": 1e6}),
+    (["star", "--expr", "1/n", "--r", "1"], {"n_max": "65536"}),
+    (["series", "--limit", "100"], {"checkpoints": 64}),
+    (["series", "--limit", "100"], {"checkpoints": [2, True]}),
+    (["sieve", "--limit", "100"], {"threads": True}),
+    (["gaps", "--limit", "100"], {"segment_size": 32}),
+    (["gaps", "--limit", "100", "--segment-size", "32"], {}),
+], ids=["output-int", "summary-str", "limit-float", "n_max-str", "checkpoints-int",
+        "checkpoints-bool-item", "threads-bool", "segment_size-small", "segment-size-flag-small"])
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, file_values):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(file_values))
+    code, out, err = invoke(argv + ["--config", str(config)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
+
+
+def test_config_file_int_fits_a_float_field(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"r": 2}))
+    argv = ["scan", "--limit", "1000", "--summary"]
+    code, from_file, _ = invoke(argv + ["--config", str(config)], capsys)
+    assert code == 0
+    assert from_file == invoke(argv + ["--r", "2"], capsys)[1]
+
+
 def test_run_config_validation_errors():
     with pytest.raises(UsageError):
         run(RunConfig(command="sieve"))

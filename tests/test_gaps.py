@@ -147,7 +147,7 @@ def test_gpy_statistics_needs_a_usable_range():
 
 def test_statistics_deterministic_across_segmentation():
     a = gpy_statistics(10**5)
-    b = gpy_statistics(10**5, segment_size=777, threads=4)
+    b = gpy_statistics(10**5, segment_size=777)
     assert a == b
 
 

@@ -398,7 +398,7 @@ def test_hit_sets_are_monotone_in_strength(r1, r2, eps):
 
 def test_scan_deterministic_across_threads():
     a = prime_ratio_scan(2.0, 0.0, 10**5)
-    b = prime_ratio_scan(2.0, 0.0, 10**5, segment_size=1000, threads=8)
+    b = prime_ratio_scan(2.0, 0.0, 10**5, segment_size=1000)
     assert np.array_equal(a.hits_n, b.hits_n)
     assert np.array_equal(a.hits_threshold, b.hits_threshold)
 

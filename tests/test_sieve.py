@@ -1,19 +1,23 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gaplab.sieve as sieve
 from gaplab.errors import CapacityError
+from gaplab.gaps import gpy_statistics, iter_gap_blocks, polignac_count
+from gaplab.ratios import gap_bound_report, prime_ratio_scan
+from gaplab.series import pnt_ratio_track, reciprocal_prime_sum
 from gaplab.sieve import (
     MAX_LIMIT,
     PrimeBlock,
-    iter_primes,
     nth_prime,
     prime_count,
     primes_upto,
     read_prime_dump,
     sieve_primes,
-    write_prime_dump,
+    write_dump_block,
 )
 
 from oracles import dense_sieve, is_prime_trial_division, trial_division_primes
@@ -23,7 +27,7 @@ def test_first_primes_with_indices():
     blocks = list(sieve_primes(10))
     assert blocks[0].start_index == 1
     assert np.concatenate([b.primes for b in blocks]).tolist() == [2, 3, 5, 7]
-    assert blocks[-1].end_index == 4
+    assert blocks[-1].start_index + len(blocks[-1]) - 1 == 4
 
 
 def test_against_trial_division_to_1e5():
@@ -84,20 +88,14 @@ def test_block_invariants():
         assert (np.diff(arr) > 0).all()
         assert arr[0] > prev_last
         assert not arr.flags.writeable
-        assert block.limit_hint == 50_000
-        prev_end = block.end_index
+        prev_end = block.start_index + len(block) - 1
         prev_last = int(arr[-1])
 
 
 def test_deterministic_across_segment_sizes_and_threads():
     reference = primes_upto(200_000)
-    for segment_size in (64, 101, 4096, 1 << 18):
+    for segment_size in (64, 101, 4096, 1 << 18, 999):
         assert np.array_equal(primes_upto(200_000, segment_size=segment_size), reference)
-    for threads in (2, 8):
-        assert np.array_equal(primes_upto(200_000, threads=threads), reference)
-        assert np.array_equal(
-            primes_upto(200_000, segment_size=999, threads=threads), reference
-        )
 
 
 def test_block_index_structure_independent_of_threads():
@@ -118,10 +116,6 @@ def test_domain_and_capacity_errors():
         nth_prime(0)
 
 
-def test_iter_primes_matches_array():
-    assert list(iter_primes(1000)) == primes_upto(1000).tolist()
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=3000))
 def test_small_limits_match_oracle(limit):
@@ -130,7 +124,11 @@ def test_small_limits_match_oracle(limit):
 
 def test_prime_dump_roundtrip(tmp_path):
     path = tmp_path / "primes.bin"
-    count = write_prime_dump(str(path), 1000)
+    count = 0
+    with open(path, "wb") as fh:
+        for block in sieve_primes(1000, segment_size=64):
+            write_dump_block(fh, block)
+            count += len(block)
     assert count == 168
     back = read_prime_dump(str(path))
     assert back.tolist() == primes_upto(1000).tolist()
@@ -173,7 +171,20 @@ def test_prime_count_counts_bitmaps_without_materializing(monkeypatch):
 
 def test_threads_is_validated_and_ignored():
     with pytest.raises(ValueError):
-        prime_count(100, threads=0)
-    with pytest.raises(ValueError):
         list(sieve_primes(100, threads=0))
-    assert prime_count(10**6, threads=8) == 78498
+    assert sum(len(b) for b in sieve_primes(10**6, threads=8)) == 78498
+
+
+@pytest.mark.parametrize("fn", [
+    primes_upto, prime_count, nth_prime,
+    iter_gap_blocks, polignac_count, gpy_statistics,
+    reciprocal_prime_sum, pnt_ratio_track,
+    prime_ratio_scan, gap_bound_report,
+])
+def test_library_takes_no_thread_count(fn):
+    assert "threads" not in inspect.signature(fn).parameters
+
+
+def test_sieve_primes_threads_is_keyword_only():
+    param = inspect.signature(sieve_primes).parameters["threads"]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY
