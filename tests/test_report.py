@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import gaplab.ratios as ratios
 from gaplab.expr import parse_sequence
 from gaplab.gaps import gpy_statistics, literature_bounds
 from gaplab.ratios import (
+    GapBoundSummary,
+    ScanReport,
     check_candidate,
     estimate_r,
     gap_bound_report,
@@ -257,3 +260,49 @@ def test_report_exports_match_golden_bytes():
         for i, report in enumerate(all_reports())
     }
     assert got == GOLDEN_REPORT_SHA256
+
+
+def hand_scan() -> ScanReport:
+    """Hit rows no scan fixture exports: a borderline hit, and thresholds
+    that print integral (2), in exponent form (1e-05, 1.5e+16), at full
+    15 digits and rounded from 0.30000000000000004."""
+    return ScanReport(
+        r=2.0,
+        epsilon=0.5,
+        limit=30,
+        n_lo=2,
+        n_hi=9,
+        hit_count=5,
+        hits_n=np.array([2, 3, 5, 7, 9], dtype=np.int64),
+        hits_p=np.array([3, 5, 11, 17, 23], dtype=np.int64),
+        hits_gap=np.array([2, 2, 2, 2, 6], dtype=np.int64),
+        hits_threshold=np.array([2.0, 1e-05, 1.5e16, 3.14159265358979, 0.1 + 0.2]),
+        hits_borderline=np.array([False, True, False, False, False]),
+        min_gap_among_hits=2,
+        max_threshold_among_hits=1.5e16,
+        tail_min_gap=[(2, 2), (4, 2), (8, 6)],
+    )
+
+
+# sha256 of the hand_scan() exports, frozen from the per-cell encoder that
+# preceded the row-template writer
+GOLDEN_HAND_SCAN_SHA256 = {
+    "scan.json": "d22c00ece65738b0cff5cdd8e6630aa8e8dba5b7a3cefbca9a2675e2a84ac6e5",
+    "scan.csv": "6d1abff5e646eec1908c7206fa8f480926e1f22f21324e507cfa75b4405cde0c",
+    "summary.json": "b7178448f17b29624c4cf0a59e42f186628ef53c4183447251ca3f2452d603b2",
+    "summary.csv": "6d1abff5e646eec1908c7206fa8f480926e1f22f21324e507cfa75b4405cde0c",
+}
+
+
+@pytest.mark.parametrize("hit_rows", [2, 1 << 16])
+def test_hand_built_scan_matches_golden_bytes(monkeypatch, hit_rows):
+    monkeypatch.setattr(ratios, "_HIT_ROWS", hit_rows)
+    scan = hand_scan()
+    summary = GapBoundSummary(scan=scan, implied_bound=15000000000000000, statement="hand-built")
+    got = {
+        "scan.json": _sha256(to_json(scan)),
+        "scan.csv": _sha256(to_csv(scan)),
+        "summary.json": _sha256(to_json(summary)),
+        "summary.csv": _sha256(to_csv(summary)),
+    }
+    assert got == GOLDEN_HAND_SCAN_SHA256
