@@ -29,7 +29,7 @@ from .gaps import gpy_statistics, literature_bounds
 from .ratios import check_candidate, gap_bound_report, prime_ratio_scan
 from .report import ParsedExpression, SieveSummary, export_report
 from .series import reciprocal_prime_sum
-from .sieve import MIN_SEGMENT_SIZE, sieve_primes, write_dump_block
+from .sieve import MIN_SEGMENT_SIZE, _count_and_last, sieve_primes, write_dump_block
 
 __all__ = ["RunConfig", "UsageError", "run", "main"]
 
@@ -129,8 +129,14 @@ def run(config: RunConfig) -> int:
 
 
 def _sieve_artifact(config: RunConfig):
-    """One pass over the primes feeds the summary, the CSV rows and the dump."""
+    """One pass over the primes feeds the summary, the CSV rows and the dump.
+
+    A summary with no dump only counts the segment bitmaps.
+    """
     keep = config.format == "csv"
+    if not (keep or config.dump):
+        count, last = _count_and_last(config.limit, config.segment_size)
+        return SieveSummary(limit=config.limit, prime_count=count, last_prime=last)
     kept = []
     count = last = 0
     with open(config.dump, "wb") if config.dump else nullcontext() as dump:

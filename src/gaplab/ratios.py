@@ -415,12 +415,24 @@ class CandidateReport:
     failed_axes: tuple[str, ...]
 
 
+def _check_strength(r: float, epsilon: float) -> None:
+    """Reject r and epsilon that no finite threshold can come from.
+
+    nan slips past plain comparisons, so each test is written to fail on it.
+    """
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"r must be positive and finite, got {r}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if not math.isfinite(r + epsilon):
+        raise ValueError(f"r + epsilon must be finite, got {r} + {epsilon}")
+
+
 def check_candidate(
     expr: SequenceExpr, r: float, n0: int = 2, n_max: int = 1 << 16
 ) -> CandidateReport:
     """Judge (expr, r) on the ratio axis and the summability axis."""
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    _check_strength(r, 0.0)
     if not 2 <= n0 < n_max:
         raise ValueError(f"need 2 <= n0 < n_max, got n0={n0}, n_max={n_max}")
     samples = [(n, ratio_excess(expr, n)) for n in _dyadic_range(max(n0, 2), n_max)]
@@ -455,9 +467,10 @@ def check_candidate(
 # ---------------------------------------------------------------------------
 # prime-ratio scan
 
-# ScanReport.iter_hits converts this many hit rows to Python values at a
-# time, so an export holds one chunk of rows, never all of them
-_HIT_ROWS = 1 << 16
+# ScanReport.iter_hit_chunks (and the index,prime CSV writer) converts this
+# many rows to Python values at a time, so an export holds the Python rows
+# of one chunk, never all of them
+_HIT_ROWS = 1 << 14
 
 
 @dataclass
@@ -491,12 +504,13 @@ class ScanReport:
     def borderline_count(self) -> int:
         return int(np.count_nonzero(self.hits_borderline))
 
-    def iter_hits(self) -> Iterator[tuple[int, int, int, int, float, bool]]:
-        """Hit rows (n, p_n, p_next, g_n, threshold, borderline) in index order."""
+    def iter_hit_chunks(self) -> Iterator[tuple[list, list, list, list, list, list]]:
+        """The hit columns (n, p_n, p_next, g_n, threshold, borderline) as
+        Python lists, _HIT_ROWS rows at a time, in index order."""
         for lo in range(0, len(self.hits_n), _HIT_ROWS):
             rows = slice(lo, lo + _HIT_ROWS)
             p, g = self.hits_p[rows], self.hits_gap[rows]
-            yield from zip(
+            yield (
                 self.hits_n[rows].tolist(),
                 p.tolist(),
                 (p + g).tolist(),
@@ -504,6 +518,11 @@ class ScanReport:
                 self.hits_threshold[rows].tolist(),
                 self.hits_borderline[rows].tolist(),
             )
+
+    def iter_hits(self) -> Iterator[tuple[int, int, int, int, float, bool]]:
+        """Hit rows (n, p_n, p_next, g_n, threshold, borderline) in index order."""
+        for cols in self.iter_hit_chunks():
+            yield from zip(*cols)
 
 
 def _recheck_mp(n: int, p: int, g: int, r: float, epsilon: float) -> tuple[bool, bool]:
@@ -542,10 +561,7 @@ def prime_ratio_scan(
     pair is classified as exact arithmetic would classify it. The hit set
     is monotone in r and epsilon by construction.
     """
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_strength(r, epsilon)
     if n_lo < 2:
         raise ValueError(f"n ln n vanishes at n = 1: scan must start at n_lo >= 2, got {n_lo}")
 

@@ -15,13 +15,22 @@ decoder follows the field type hints: ints become floats where the hint
 says float, and the SequenceExpr union is resolved through "op".
 
 Written out by hand, and only these: GapStats adds its "note"; ScanReport
-writes its hit arrays (array fields are never keys) as "hits" rows, the
-iter_hits() tuples, each formatted as the iterator yields it, and adds
-"borderline_count"; the series list is wrapped as {"checkpoints": [...]}
-and the bounds table as {"bounds": {name: {"bound", "citation"}}}.
+writes its hit arrays (array fields are never keys) as "hits" rows and
+adds "borderline_count"; the series list is wrapped as {"checkpoints":
+[...]} and the bounds table as {"bounds": {name: {"bound", "citation"}}}.
 
-CSV: each artifact is one (header, rows) table, written by one writer; the
-series and bounds headers are their dataclass field names.
+Hit rows are written by one row template per chunk of
+ScanReport.iter_hit_chunks() columns, not cell by cell: %d for the
+integers, %.15g for the threshold (the same text as format_float for
+every finite double) and false/true for the borderline flag. Before any
+row is written, the whole threshold column is checked, and a non-finite
+threshold raises the ValueError that format_float raises.
+
+CSV: each artifact is one table. The two array-backed tables, the scan
+hits and the index,prime list, are written as a header line plus
+row-template chunks; the others (histogram, series, bounds) go through
+csv.writer, which quotes the citations. The series and bounds headers are
+their dataclass field names.
 """
 
 from __future__ import annotations
@@ -35,9 +44,11 @@ import typing
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
+from . import ratios as _ratios
 from .expr import SequenceExpr
 from .gaps import GapBoundEntry, GapStats
 from .ratios import (
@@ -76,10 +87,14 @@ class ParsedExpression:
     ast: SequenceExpr
 
 
+def _non_finite(x: float) -> ValueError:
+    return ValueError(f"non-finite value cannot be exported: {x!r}")
+
+
 def format_float(x: float) -> str:
     """15 significant digits; the one float format every export uses."""
     if not math.isfinite(x):
-        raise ValueError(f"non-finite value cannot be exported: {x!r}")
+        raise _non_finite(x)
     return f"{x:.15g}"
 
 
@@ -108,6 +123,12 @@ _GAP_NOTE = "minima and tail minima are finite-range proxies for liminf claims, 
 
 _HIT_COLUMNS = ("n", "p_n", "p_next", "g_n", "threshold", "borderline")
 
+# one row of a hit chunk; the borderline cell is taken from _BOOL_TEXT
+_JSON_HIT_ROW = "[%d,%d,%d,%d,%.15g,%s]"
+_CSV_HIT_ROW = "%d,%d,%d,%d,%.15g,%s\n"
+_CSV_PRIME_ROW = "%d,%d\n"
+_BOOL_TEXT = ("false", "true")
+
 
 def _report_type(report):
     """The key of `report` in _KINDS; a non-empty container is named by its items."""
@@ -116,6 +137,32 @@ def _report_type(report):
     if isinstance(report, dict) and report and all(isinstance(e, GapBoundEntry) for e in report.values()):
         return _BOUNDS
     return type(report)
+
+
+# ---------------------------------------------------------------------------
+# row templates for the array-backed tables
+
+
+def _hit_text(report: ScanReport, template: str, sep: str) -> Iterator[str]:
+    """The hit rows as text, one string per chunk: `template % row` per row,
+    rows joined by `sep`. The whole threshold column is checked first,
+    because %.15g prints inf and nan where format_float refuses them."""
+    thr = report.hits_threshold
+    finite = np.isfinite(thr)
+    if not finite.all():
+        raise _non_finite(float(thr[~finite][0]))
+    return (
+        sep.join(map(template.__mod__, zip(n, p, q, g, t, map(_BOOL_TEXT.__getitem__, b))))
+        for n, p, q, g, t, b in report.iter_hit_chunks()
+    )
+
+
+def _prime_text(primes: np.ndarray) -> Iterator[str]:
+    """The index,prime rows as text, one string per chunk of _HIT_ROWS rows."""
+    step = _ratios._HIT_ROWS
+    for lo in range(0, len(primes), step):
+        rows = enumerate(primes[lo : lo + step].tolist(), start=lo + 1)
+        yield "".join(map(_CSV_PRIME_ROW.__mod__, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +182,7 @@ def _to_obj(value):
         elif isinstance(value, GapStats):
             obj["note"] = _GAP_NOTE
         elif isinstance(value, ScanReport):
-            obj["hits"] = value.iter_hits()
+            obj["hits"] = _hit_text(value, _JSON_HIT_ROW, ",")
             obj["borderline_count"] = value.borderline_count
         return obj
     if isinstance(value, (list, tuple)):
@@ -149,28 +196,44 @@ def _to_obj(value):
     return value
 
 
-def _json_value(value) -> str:
-    """JSON text of a _to_obj result: keys sorted, floats via format_float."""
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    if isinstance(value, (list, tuple, Iterator)):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
+def _json_pieces(value) -> Iterator[str]:
+    """JSON text of a _to_obj result, in pieces: keys sorted, floats via
+    format_float. to_json joins the pieces once, so no container's text is
+    copied into its parent's.
+
+    An iterator holds pre-encoded JSON items (the scan hit chunks); each
+    is yielded as it is.
+    """
     if isinstance(value, dict):
-        parts = []
-        for k in sorted(value):
+        yield "{"
+        for i, k in enumerate(sorted(value)):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            parts.append(f"{json.dumps(k, ensure_ascii=False)}:{_json_value(value[k])}")
-        return "{" + ",".join(parts) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+            yield f"{',' if i else ''}{json.dumps(k, ensure_ascii=False)}:"
+            yield from _json_pieces(value[k])
+        yield "}"
+    elif isinstance(value, (list, tuple, Iterator)):
+        yield "["
+        for i, v in enumerate(value):
+            if i:
+                yield ","
+            if isinstance(value, Iterator):
+                yield v
+            else:
+                yield from _json_pieces(v)
+        yield "]"
+    elif value is None:
+        yield "null"
+    elif isinstance(value, (bool, np.bool_)):
+        yield "true" if value else "false"
+    elif isinstance(value, str):
+        yield json.dumps(value, ensure_ascii=False)
+    elif isinstance(value, (int, np.integer)):
+        yield str(int(value))
+    elif isinstance(value, (float, np.floating)):
+        yield format_float(float(value))
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def to_json(report) -> str:
@@ -191,7 +254,7 @@ def to_json(report) -> str:
         doc = _to_obj(report)
     doc["schema_version"] = SCHEMA_VERSION
     doc["report"] = _KINDS[rtype]
-    return _json_value(doc) + "\n"
+    return "".join(chain(_json_pieces(doc), ["\n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +335,6 @@ def parse_report(text: str | bytes):
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return format_float(float(v))
     return str(v)
@@ -282,6 +343,18 @@ def _fmt_cell(v) -> str:
 def _field_table(cls, items):
     names = tuple(f.name for f in fields(cls))
     return names, ([_fmt_cell(getattr(x, name)) for name in names] for x in items)
+
+
+def _text_table(report) -> Iterator[str] | None:
+    """An array-backed table as its header line and row-template chunks;
+    None for the tables that csv.writer writes."""
+    if isinstance(report, GapBoundSummary):
+        report = report.scan
+    if isinstance(report, ScanReport):
+        return chain([",".join(_HIT_COLUMNS) + "\n"], _hit_text(report, _CSV_HIT_ROW, ""))
+    if isinstance(report, np.ndarray) and report.dtype.kind == "i":
+        return chain(["index,prime\n"], _prime_text(report))
+    return None
 
 
 def _csv_table(report):
@@ -293,19 +366,14 @@ def _csv_table(report):
         return _field_table(SeriesCheckpoint, report)
     if rtype == _BOUNDS:
         return _field_table(GapBoundEntry, [report[name] for name in sorted(report)])
-    if rtype is ScanReport:
-        return _HIT_COLUMNS, (
-            (n, p, q, g, format_float(t), _fmt_cell(b)) for n, p, q, g, t, b in report.iter_hits()
-        )
-    if rtype is GapBoundSummary:
-        return _csv_table(report.scan)
-    if isinstance(report, np.ndarray) and report.dtype.kind == "i":
-        return ("index", "prime"), enumerate(report.tolist(), start=1)
     raise TypeError(f"no CSV schema registered for {type(report).__name__}")
 
 
 def to_csv(report) -> str:
     """Serialize a report to its documented CSV schema."""
+    text = _text_table(report)
+    if text is not None:
+        return "".join(text)
     header, rows = _csv_table(report)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

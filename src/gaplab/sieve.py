@@ -15,10 +15,10 @@ after another by one kernel:
   p^2 lies below its end, and the offsets are carried to the next
   segment without recomputing a start.
 
-sieve_primes turns each bitmap into a block of primes; prime_count only
-counts the bitmaps. The output does not depend on segment_size. Carried
-offsets make the kernel sequential, so no function here needs a thread
-count.
+sieve_primes turns each bitmap into a block of primes; prime_count and
+the `gaplab sieve` summary only count the bitmaps. The output does not
+depend on segment_size. Carried offsets make the kernel sequential, so no
+function here needs a thread count.
 
 See Bays & Hudson, BIT 17 (1977), and Oliveira e Silva, Herzog & Pardi,
 Math. Comp. 83 (2014), for the segmented sieve with a pre-sieve.
@@ -62,6 +62,9 @@ _WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
 _WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)
 
 _TWO = np.array([2], dtype=np.int64)
+
+# odd numbers at the end of a segment searched first for its largest prime
+_TAIL = 256
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,29 @@ def primes_upto(limit: int, segment_size: int | None = None) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
 
+def _count_and_last(limit: int, segment_size: int | None) -> tuple[int, int]:
+    """(pi(limit), the largest prime <= limit); limit >= 2.
+
+    Counts each segment bitmap in place. Only the last _TAIL odd numbers
+    of a segment are searched for its largest prime, unless none of them
+    is prime; no block of primes is built.
+    """
+    limit = _validate_limit(limit)
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    count, last = 1, 2
+    for low, mask in _segments(limit, segment_size):
+        c = int(np.count_nonzero(mask))
+        if c:
+            count += c
+            tail = mask[-_TAIL:]
+            pos = np.flatnonzero(tail)
+            if not len(pos):
+                tail, pos = mask, np.flatnonzero(mask)
+            last = low + 2 * (len(mask) - len(tail) + int(pos[-1]))
+    return count, last
+
+
 def prime_count(limit: int, segment_size: int | None = None) -> int:
     """pi(limit): the number of primes <= limit. Zero for limit < 2.
 
@@ -217,8 +243,7 @@ def prime_count(limit: int, segment_size: int | None = None) -> int:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if limit < 2:
         return 0
-    odd = sum(int(np.count_nonzero(mask)) for _, mask in _segments(limit, segment_size))
-    return 1 + odd
+    return _count_and_last(limit, segment_size)[0]
 
 
 def _nth_prime_bound(n: int) -> int:

@@ -9,6 +9,7 @@ import pytest
 
 import gaplab
 import gaplab.cli as cli
+import gaplab.sieve as sieve
 from gaplab.cli import RunConfig, UsageError, main, run
 from gaplab.sieve import primes_upto, read_prime_dump
 
@@ -77,6 +78,34 @@ def test_sieve_dump_is_written_in_the_same_pass(tmp_path, capsys, monkeypatch):
             assert (doc["prime_count"], doc["last_prime"]) == (9592, 99991)
         else:
             assert out.read_text().splitlines()[-1] == "9592,99991"
+
+
+@pytest.mark.parametrize("segment_size", [64, 101, 4096])
+def test_sieve_summary_counts_bitmaps(capsys, monkeypatch, segment_size):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("the summary went through sieve_primes")
+
+    monkeypatch.setattr(cli, "sieve_primes", no_blocks)
+    primes = primes_upto(2 * 10**5)
+    # final segments [low, limit] that hold no prime: low is a segment
+    # start and limit is the last number before the next prime; the widest
+    # such segments lie in the largest gaps
+    lows = np.arange(3, int(primes[-1]), 2 * segment_size)
+    nxt = primes[np.searchsorted(primes, lows)]
+    empty = np.flatnonzero(nxt > lows)
+    widest = empty[np.argsort(lows[empty] - nxt[empty], kind="stable")[:4]]
+    limits = [int(nxt[i]) - 1 for i in widest] + [2 * 10**5]
+    # a one-number tail sends most segments to the full-segment search
+    for tail in (sieve._TAIL, 1):
+        monkeypatch.setattr(sieve, "_TAIL", tail)
+        for limit in limits:
+            code, out, _ = invoke(
+                ["sieve", "--limit", str(limit), "--segment-size", str(segment_size)], capsys
+            )
+            below = primes[primes <= limit]
+            doc = json.loads(out)
+            assert code == 0
+            assert (doc["prime_count"], doc["last_prime"]) == (len(below), int(below[-1])), limit
 
 
 def test_scan_csv_twin_rows(tmp_path, capsys, oracle_primes_1m):

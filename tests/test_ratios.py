@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import mpmath
@@ -18,7 +20,8 @@ from gaplab.ratios import (
     summability_probe,
 )
 
-from gaplab.report import to_json
+from gaplab.report import to_csv, to_json
+from gaplab.sieve import primes_upto
 
 from oracles import brute_force_scan, gap_records, mp_ratio_excess
 
@@ -279,11 +282,22 @@ def test_hit_rows_are_chunk_invariant(monkeypatch):
             report.hits_borderline.tolist(),
         )
     )
-    json_text = to_json(report)
+    json_text, csv_text = to_json(report), to_csv(report)
+    primes = primes_upto(10**4)
+    primes_text = to_csv(primes)
     monkeypatch.setattr(ratios, "_HIT_ROWS", 7)
     assert len(whole) > 7 and len(whole) % 7
+    assert len(primes) > 7 and len(primes) % 7
     assert list(report.iter_hits()) == whole
     assert to_json(report) == json_text
+    assert to_csv(report) == csv_text
+    assert to_csv(primes) == primes_text
+    # the rows csv.writer wrote before the row template replaced it
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("index", "prime"))
+    writer.writerows(enumerate(primes.tolist(), start=1))
+    assert primes_text == buf.getvalue()
 
 
 def test_scan_matches_brute_force_oracle(oracle_primes_1m):
@@ -313,6 +327,28 @@ def test_scan_validation():
         prime_ratio_scan(2.0, 0.0, 100, n_lo=1)
     with pytest.raises(ValueError, match="too small"):
         prime_ratio_scan(2.0, 0.0, 5, n_lo=100)
+
+
+@pytest.mark.parametrize("r,epsilon", [
+    (math.nan, 0.0),
+    (math.inf, 0.0),
+    (2.0, math.nan),
+    (2.0, math.inf),
+    (1e308, 1e308),  # each finite, the sum is not
+])
+def test_non_finite_strength_is_rejected_before_any_work(monkeypatch, r, epsilon):
+    def no_work(*args, **kwargs):
+        raise AssertionError("validation ran after the work started")
+
+    monkeypatch.setattr(ratios, "iter_gap_blocks", no_work)
+    monkeypatch.setattr(ratios, "ratio_excess", no_work)
+    with pytest.raises(ValueError, match="must be"):
+        prime_ratio_scan(r, epsilon, 30)
+    with pytest.raises(ValueError, match="must be"):
+        gap_bound_report(r, epsilon, 30)
+    if epsilon == 0.0:
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            check_candidate(expr("1/n"), r, n_max=1024)
 
 
 def test_borderline_hits_are_flagged():

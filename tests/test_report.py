@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gaplab.ratios as ratios
 from gaplab.expr import parse_sequence
@@ -306,3 +308,21 @@ def test_hand_built_scan_matches_golden_bytes(monkeypatch, hit_rows):
         "summary.csv": _sha256(to_csv(summary)),
     }
     assert got == GOLDEN_HAND_SCAN_SHA256
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_row_template_float_format_is_format_float(x):
+    assert "%.15g" % x == format_float(x)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_threshold_is_not_exported(bad):
+    scan = hand_scan()
+    thresholds = scan.hits_threshold.copy()
+    thresholds[3] = bad
+    scan = dataclasses.replace(scan, hits_threshold=thresholds)
+    summary = GapBoundSummary(scan=scan, implied_bound=None, statement="hand-built")
+    for report in (scan, summary):
+        for fmt in ("json", "csv"):
+            with pytest.raises(ValueError, match="non-finite value cannot be exported"):
+                export_report(report, fmt)
