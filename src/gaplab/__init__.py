@@ -67,7 +67,6 @@ from .report import (
 )
 from .series import SeriesCheckpoint, pnt_ratio_track, reciprocal_prime_sum
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
     PrimeBlock,
     nth_prime,

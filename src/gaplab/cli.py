@@ -29,7 +29,7 @@ from .gaps import gpy_statistics, literature_bounds
 from .ratios import check_candidate, gap_bound_report, prime_ratio_scan
 from .report import ParsedExpression, SieveSummary, export_report
 from .series import reciprocal_prime_sum
-from .sieve import MIN_SEGMENT_SIZE, _count_and_last, sieve_primes, write_dump_block
+from .sieve import _count_and_last, sieve_primes, write_dump_block
 
 __all__ = ["RunConfig", "UsageError", "run", "main"]
 
@@ -51,7 +51,6 @@ class RunConfig:
     n_lo: int = 2
     n0: int = 2
     n_max: int = 1 << 16
-    segment_size: int | None = None
     threads: int = 1
     output: str | None = None
     format: str = "json"
@@ -81,10 +80,6 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"'{config.command}' supports only --format json")
     if config.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {config.threads}")
-    if config.segment_size is not None and config.segment_size < MIN_SEGMENT_SIZE:
-        raise UsageError(
-            f"--segment-size must be >= {MIN_SEGMENT_SIZE}, got {config.segment_size}"
-        )
     if config.dump is not None and config.command != "sieve":
         raise UsageError("--dump is only valid with 'sieve'")
 
@@ -97,9 +92,9 @@ def run(config: RunConfig) -> int:
     if cmd == "sieve":
         artifact = _sieve_artifact(config)
     elif cmd == "gaps":
-        artifact = gpy_statistics(config.limit, config.segment_size)
+        artifact = gpy_statistics(config.limit)
     elif cmd == "series":
-        artifact = reciprocal_prime_sum(config.limit, config.checkpoints, config.segment_size)
+        artifact = reciprocal_prime_sum(config.limit, config.checkpoints)
     elif cmd == "parse":
         ast = parse_sequence(config.expression)
         artifact = ParsedExpression(expression=format_sequence(ast), ast=ast)
@@ -108,13 +103,9 @@ def run(config: RunConfig) -> int:
         artifact = check_candidate(ast, config.r, config.n0, config.n_max)
     elif cmd == "scan":
         if config.summary:
-            artifact = gap_bound_report(
-                config.r, config.epsilon, config.limit, config.n_lo, config.segment_size
-            )
+            artifact = gap_bound_report(config.r, config.epsilon, config.limit, config.n_lo)
         else:
-            artifact = prime_ratio_scan(
-                config.r, config.epsilon, config.limit, config.n_lo, config.segment_size
-            )
+            artifact = prime_ratio_scan(config.r, config.epsilon, config.limit, config.n_lo)
     else:  # bounds
         artifact = literature_bounds()
 
@@ -135,12 +126,12 @@ def _sieve_artifact(config: RunConfig):
     """
     keep = config.format == "csv"
     if not (keep or config.dump):
-        count, last = _count_and_last(config.limit, config.segment_size)
+        count, last = _count_and_last(config.limit)
         return SieveSummary(limit=config.limit, prime_count=count, last_prime=last)
     kept = []
     count = last = 0
     with open(config.dump, "wb") if config.dump else nullcontext() as dump:
-        for block in sieve_primes(config.limit, config.segment_size):
+        for block in sieve_primes(config.limit):
             if dump:
                 write_dump_block(dump, block)
             if keep:
@@ -178,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream = argparse.ArgumentParser(add_help=False)
     stream.add_argument("--limit", type=int, default=None, help="inclusive prime bound")
-    stream.add_argument("--segment-size", type=int, default=None,
-                        help="odd numbers per sieve segment (output-invariant)")
     stream.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored (must be >= 1); the sieve runs on one thread")
 

@@ -51,9 +51,7 @@ class GapStats:
     min_gap_tail: list[tuple[int, int]] = field(default_factory=list)
 
 
-def iter_gap_blocks(
-    limit: int, segment_size: int | None = None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def iter_gap_blocks(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (n0, p, g) arrays: p[i] = p_(n0+i), g[i] = p_(n0+i+1) - p[i].
 
     Covers exactly the pairs with p_next <= limit, in index order.
@@ -62,7 +60,7 @@ def iter_gap_blocks(
         raise ValueError(f"limit must be >= 3 to contain a prime pair, got {limit}")
     carry: int | None = None
     n0 = 1
-    for block in sieve_primes(limit, segment_size):
+    for block in sieve_primes(limit):
         if carry is None:
             primes = block.primes
         else:
@@ -73,7 +71,7 @@ def iter_gap_blocks(
         carry = int(primes[-1])
 
 
-def polignac_count(k: int, limit: int, segment_size: int | None = None) -> int:
+def polignac_count(k: int, limit: int) -> int:
     """Count of n >= 2 with g_n = k and p_next <= limit.
 
     k must be a positive even integer: every gap after g_1 is even, and
@@ -82,11 +80,11 @@ def polignac_count(k: int, limit: int, segment_size: int | None = None) -> int:
     if k < 2 or k % 2 != 0:
         raise ValueError(f"gap value must be a positive even integer, got {k}")
     # k is even and g_1 = 1 is not, so n = 1 never counts
-    blocks = iter_gap_blocks(limit, segment_size)
+    blocks = iter_gap_blocks(limit)
     return sum(int(np.count_nonzero(g == k)) for _n0, _p, g in blocks)
 
 
-def gpy_statistics(limit: int, segment_size: int | None = None) -> GapStats:
+def gpy_statistics(limit: int) -> GapStats:
     """One-pass gap statistics over all pairs with p_next <= limit.
 
     Constant memory per distinct gap value; minima are accumulated in
@@ -107,7 +105,7 @@ def gpy_statistics(limit: int, segment_size: int | None = None) -> GapStats:
     next_cp = 4
     cp_start = 2
 
-    for n0, p, g in iter_gap_blocks(limit, segment_size):
+    for n0, p, g in iter_gap_blocks(limit):
         counts = np.bincount(g, minlength=len(hist))
         counts[: len(hist)] += hist
         hist = counts

@@ -543,7 +543,6 @@ def prime_ratio_scan(
     epsilon: float = 0.0,
     limit: int = 1_000_000,
     n_lo: int = 2,
-    segment_size: int | None = None,
 ) -> ScanReport:
     """Scan all prime pairs with p_next <= limit for the ratio inequality.
 
@@ -574,7 +573,7 @@ def prime_ratio_scan(
     n_hi = 0
     scanned = 0
 
-    for n0, p, g in iter_gap_blocks(limit, segment_size):
+    for n0, p, g in iter_gap_blocks(limit):
         ns = n0 + np.arange(len(p), dtype=np.int64)
         n_hi = int(ns[-1])
         mask = ns >= n_lo
@@ -659,7 +658,6 @@ def gap_bound_report(
     epsilon: float = 0.0,
     limit: int = 1_000_000,
     n_lo: int = 2,
-    segment_size: int | None = None,
 ) -> GapBoundSummary:
     """Run the scan and phrase its finite-range reading.
 
@@ -669,7 +667,7 @@ def gap_bound_report(
     would be bounded by any eventual threshold ceiling. A finite scan
     cannot establish that; this is evidence, stated as such.
     """
-    scan = prime_ratio_scan(r, epsilon, limit, n_lo, segment_size)
+    scan = prime_ratio_scan(r, epsilon, limit, n_lo)
     if scan.hit_count:
         implied = math.ceil(scan.max_threshold_among_hits)
         statement = (

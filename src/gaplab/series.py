@@ -45,11 +45,7 @@ def _checkpoint_record(n: int, p_n: int, acc: DoubleDouble) -> SeriesCheckpoint:
     return SeriesCheckpoint(n=n, p_n=p_n, partial_sum=partial, pnt_ratio=ratio, loglog_gap=gap)
 
 
-def _track(
-    limit: int,
-    checkpoints: list[int] | None,
-    segment_size: int | None,
-) -> list[SeriesCheckpoint]:
+def _track(limit: int, checkpoints: list[int] | None) -> list[SeriesCheckpoint]:
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     explicit = checkpoints is not None
@@ -70,7 +66,7 @@ def _track(
     next_index = 0  # into the explicit checkpoints
     next_dyadic = 2
 
-    for block in sieve_primes(limit, segment_size):
+    for block in sieve_primes(limit):
         primes = block.primes
         # cut positions inside this block, in index order
         cuts: list[int] = []
@@ -104,9 +100,7 @@ def _track(
 
 
 def reciprocal_prime_sum(
-    limit: int,
-    checkpoints: list[int] | None = None,
-    segment_size: int | None = None,
+    limit: int, checkpoints: list[int] | None = None
 ) -> list[SeriesCheckpoint]:
     """Partial sums of 1/p_1 + 1/p_2 + ... at the checkpoint indices.
 
@@ -115,13 +109,11 @@ def reciprocal_prime_sum(
     Checkpoints default to powers of two plus the final index; an explicit
     empty list is rejected.
     """
-    return _track(limit, checkpoints, segment_size)
+    return _track(limit, checkpoints)
 
 
 def pnt_ratio_track(
-    limit: int | None = None,
-    checkpoints: list[int] | None = None,
-    segment_size: int | None = None,
+    limit: int | None = None, checkpoints: list[int] | None = None
 ) -> list[SeriesCheckpoint]:
     """p_n / (n ln n) at each checkpoint index (defined for n >= 2).
 
@@ -134,4 +126,4 @@ def pnt_ratio_track(
         if not checkpoints:
             raise ValueError("either a limit or explicit checkpoints are required")
         limit = _nth_prime_bound(max(checkpoints))
-    return _track(limit, checkpoints, segment_size)
+    return _track(limit, checkpoints)

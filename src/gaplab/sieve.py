@@ -16,9 +16,11 @@ after another by one kernel:
   segment without recomputing a start.
 
 sieve_primes turns each bitmap into a block of primes; prime_count and
-the `gaplab sieve` summary only count the bitmaps. The output does not
-depend on segment_size. Carried offsets make the kernel sequential, so no
-function here needs a thread count.
+the `gaplab sieve` summary only count the bitmaps. Every segment covers
+DEFAULT_SEGMENT_SIZE odd numbers, which no caller sets: the prime stream
+and every output are the same at any segment size, and the tests place
+segment edges by patching this constant. Carried offsets make the kernel
+sequential, so no function here needs a thread count.
 
 See Bays & Hudson, BIT 17 (1977), and Oliveira e Silva, Herzog & Pardi,
 Math. Comp. 83 (2014), for the segmented sieve with a pre-sieve.
@@ -52,10 +54,8 @@ MAX_LIMIT = 1 << 62
 
 # Number of odd integers covered per segment (a 1 MiB boolean bitmap,
 # spanning ~2 million integers). Strided numpy clears amortize per-call
-# overhead at this size; the flag exists for experiments either way.
+# overhead at this size.
 DEFAULT_SEGMENT_SIZE = 1 << 20
-
-MIN_SEGMENT_SIZE = 64
 
 # Odd primes cleared by the wheel pattern instead of by strided writes
 _WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
@@ -71,8 +71,9 @@ _TAIL = 256
 class PrimeBlock:
     """A contiguous run of primes with global 1-based index offsets.
 
-    ``primes[i]`` is the (start_index + i)-th prime. Arrays are marked
-    read-only before emission and safe to share across threads.
+    ``primes[i]`` is the (start_index + i)-th prime. Each block owns its
+    array, which is marked read-only before emission, so a consumer may
+    keep it after asking for the next block.
     """
 
     start_index: int
@@ -113,22 +114,18 @@ def _validate_limit(limit: int) -> int:
     return limit
 
 
-def _segments(limit: int, segment_size: int | None) -> Iterator[tuple[int, np.ndarray]]:
+def _segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (low, mask) for the odd numbers in [3, limit], one segment at a time.
 
     mask[i] is True iff low + 2i is prime. mask is a view of one buffer
     that the next segment overwrites, so a consumer reads it before
     asking for the next one.
     """
-    if segment_size is None:
-        segment_size = DEFAULT_SEGMENT_SIZE
-    if segment_size < MIN_SEGMENT_SIZE:
-        raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
     n_odds = (limit - 1) // 2
     if n_odds < 1:
         return
 
-    width = min(segment_size, n_odds)
+    width = min(DEFAULT_SEGMENT_SIZE, n_odds)
     pattern = _wheel_pattern(_WHEEL_PERIOD + width)
     buf = np.empty(width, dtype=bool)
 
@@ -139,7 +136,7 @@ def _segments(limit: int, segment_size: int | None) -> Iterator[tuple[int, np.nd
     # relative to the current segment's low
     off = (p2 - 3) // 2
 
-    span = 2 * segment_size
+    span = 2 * DEFAULT_SEGMENT_SIZE
     for low in range(3, limit + 1, span):
         high = min(low + span, limit + 1)
         n = (high - low + 1) // 2
@@ -159,24 +156,17 @@ def _segments(limit: int, segment_size: int | None) -> Iterator[tuple[int, np.nd
         off[neg] %= p[neg]
 
 
-def sieve_primes(
-    limit: int,
-    segment_size: int | None = None,
-    *,
-    threads: int = 1,
-) -> Iterator[PrimeBlock]:
+def sieve_primes(limit: int, *, threads: int = 1) -> Iterator[PrimeBlock]:
     """Stream every prime <= limit exactly once, in blocks, in index order.
 
     Args:
       limit: inclusive upper bound, >= 2.
-      segment_size: odd numbers per segment (>= 64); default
-        DEFAULT_SEGMENT_SIZE. The prime stream does not depend on it.
       threads: accepted and ignored (must be >= 1); segments are sieved
         one after another. Kept only for perfbench/traced.py --speedup,
         and removed together with its sieve.speedup_t2 metric.
 
     Raises:
-      ValueError: limit < 2, segment_size < 64 or threads < 1.
+      ValueError: limit < 2 or threads < 1.
       CapacityError: limit exceeds MAX_LIMIT.
     """
     if threads < 1:
@@ -186,7 +176,7 @@ def sieve_primes(
         raise ValueError(f"limit must be >= 2, got {limit}")
 
     count = 0
-    for low, mask in _segments(limit, segment_size):
+    for low, mask in _segments(limit):
         primes = np.flatnonzero(mask)
         primes *= 2
         primes += low
@@ -204,13 +194,13 @@ def sieve_primes(
         yield PrimeBlock(start_index=1, primes=two)
 
 
-def primes_upto(limit: int, segment_size: int | None = None) -> np.ndarray:
+def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as one int64 array."""
-    blocks = [b.primes for b in sieve_primes(limit, segment_size)]
+    blocks = [b.primes for b in sieve_primes(limit)]
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
 
-def _count_and_last(limit: int, segment_size: int | None) -> tuple[int, int]:
+def _count_and_last(limit: int) -> tuple[int, int]:
     """(pi(limit), the largest prime <= limit); limit >= 2.
 
     Counts each segment bitmap in place. Only the last _TAIL odd numbers
@@ -221,7 +211,7 @@ def _count_and_last(limit: int, segment_size: int | None) -> tuple[int, int]:
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     count, last = 1, 2
-    for low, mask in _segments(limit, segment_size):
+    for low, mask in _segments(limit):
         c = int(np.count_nonzero(mask))
         if c:
             count += c
@@ -233,7 +223,7 @@ def _count_and_last(limit: int, segment_size: int | None) -> tuple[int, int]:
     return count, last
 
 
-def prime_count(limit: int, segment_size: int | None = None) -> int:
+def prime_count(limit: int) -> int:
     """pi(limit): the number of primes <= limit. Zero for limit < 2.
 
     Counts each segment bitmap in place; no prime is materialized.
@@ -243,7 +233,7 @@ def prime_count(limit: int, segment_size: int | None = None) -> int:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if limit < 2:
         return 0
-    return _count_and_last(limit, segment_size)[0]
+    return _count_and_last(limit)[0]
 
 
 def _nth_prime_bound(n: int) -> int:
@@ -254,7 +244,7 @@ def _nth_prime_bound(n: int) -> int:
     return int(x * (math.log(x) + math.log(math.log(x)))) + 1
 
 
-def nth_prime(n: int, segment_size: int | None = None) -> int:
+def nth_prime(n: int) -> int:
     """The n-th prime, 1-based: nth_prime(1) = 2.
 
     Raises:
@@ -266,15 +256,12 @@ def nth_prime(n: int, segment_size: int | None = None) -> int:
     bound = _nth_prime_bound(n)
     if bound > MAX_LIMIT:
         raise CapacityError(f"p_{n} exceeds the supported maximum value {MAX_LIMIT}")
-    while True:
-        seen = 0
-        for block in sieve_primes(bound, segment_size):
-            if seen + len(block) >= n:
-                return int(block.primes[n - 1 - seen])
-            seen += len(block)
-        # Rosser's bound holds for n >= 6, so this is unreachable; grow
-        # defensively rather than trust the estimate blindly.
-        bound = bound * 2
+    seen = 0
+    for block in sieve_primes(bound):
+        if seen + len(block) >= n:
+            return int(block.primes[n - 1 - seen])
+        seen += len(block)
+    raise AssertionError(f"no p_{n} below its bound {bound}")
 
 
 def write_dump_block(fh: BinaryIO, block: PrimeBlock) -> None:

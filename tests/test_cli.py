@@ -53,7 +53,7 @@ def test_sieve_dump(tmp_path, capsys):
     assert dump.read_bytes()[:8] == (2).to_bytes(8, "little")
 
 
-def test_sieve_dump_is_written_in_the_same_pass(tmp_path, capsys, monkeypatch):
+def test_sieve_dump_is_written_in_the_same_pass(tmp_path, capsys, monkeypatch, set_segment_size):
     passes = []
     sieve_primes = cli.sieve_primes
 
@@ -63,11 +63,12 @@ def test_sieve_dump_is_written_in_the_same_pass(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "sieve_primes", counted)
     expected = primes_upto(100_000)
+    set_segment_size(64)
     for fmt in ("json", "csv"):
         dump, out = tmp_path / f"{fmt}.bin", tmp_path / f"primes.{fmt}"
         passes.clear()
         code, _, _ = invoke(
-            ["sieve", "--limit", "100000", "--segment-size", "64", "--format", fmt]
+            ["sieve", "--limit", "100000", "--format", fmt]
             + ["--dump", str(dump), "--out", str(out)],
             capsys,
         )
@@ -81,7 +82,7 @@ def test_sieve_dump_is_written_in_the_same_pass(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("segment_size", [64, 101, 4096])
-def test_sieve_summary_counts_bitmaps(capsys, monkeypatch, segment_size):
+def test_sieve_summary_counts_bitmaps(capsys, monkeypatch, segment_size, set_segment_size):
     def no_blocks(*args, **kwargs):
         raise AssertionError("the summary went through sieve_primes")
 
@@ -95,13 +96,12 @@ def test_sieve_summary_counts_bitmaps(capsys, monkeypatch, segment_size):
     empty = np.flatnonzero(nxt > lows)
     widest = empty[np.argsort(lows[empty] - nxt[empty], kind="stable")[:4]]
     limits = [int(nxt[i]) - 1 for i in widest] + [2 * 10**5]
+    set_segment_size(segment_size)
     # a one-number tail sends most segments to the full-segment search
     for tail in (sieve._TAIL, 1):
         monkeypatch.setattr(sieve, "_TAIL", tail)
         for limit in limits:
-            code, out, _ = invoke(
-                ["sieve", "--limit", str(limit), "--segment-size", str(segment_size)], capsys
-            )
+            code, out, _ = invoke(["sieve", "--limit", str(limit)], capsys)
             below = primes[primes <= limit]
             doc = json.loads(out)
             assert code == 0
@@ -232,9 +232,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     (["series", "--limit", "100"], {"checkpoints": [2, True]}),
     (["sieve", "--limit", "100"], {"threads": True}),
     (["gaps", "--limit", "100"], {"segment_size": 32}),
-    (["gaps", "--limit", "100", "--segment-size", "32"], {}),
 ], ids=["output-int", "summary-str", "limit-float", "n_max-str", "checkpoints-int",
-        "checkpoints-bool-item", "threads-bool", "segment_size-small", "segment-size-flag-small"])
+        "checkpoints-bool-item", "threads-bool", "segment_size-small"])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, file_values):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(file_values))
@@ -242,6 +241,20 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, file_values)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "UsageError"
+
+
+def test_segment_size_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gaps", "--limit", "100", "--segment-size", "64"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"segment_size": 64}))
+    code, out, err = invoke(["gaps", "--limit", "100", "--config", str(config)], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert "unknown key 'segment_size'" in error["message"]
 
 
 def test_config_file_int_fits_a_float_field(tmp_path, capsys):

@@ -12,11 +12,11 @@ from gaplab.gaps import (
 from oracles import count_gaps, gap_records
 
 
-def _block_records(limit, segment_size=None):
+def _block_records(limit):
     """(n, p_n, p_next, g_n) for every pair, flattened from the blocks."""
     return [
         (n0 + i, p, p + g, g)
-        for n0, ps, gs in iter_gap_blocks(limit, segment_size)
+        for n0, ps, gs in iter_gap_blocks(limit)
         for i, (p, g) in enumerate(zip(ps.tolist(), gs.tolist()))
     ]
 
@@ -31,8 +31,9 @@ def test_iter_gap_blocks_limit_30_matches_oracle(oracle_primes_1m):
     assert records[-1] == (9, 23, 29, 6)
 
 
-def test_iter_gap_blocks_count_at_1e6():
-    blocks = list(iter_gap_blocks(10**6, segment_size=4096))
+def test_iter_gap_blocks_count_at_1e6(set_segment_size):
+    set_segment_size(4096)
+    blocks = list(iter_gap_blocks(10**6))
     assert len(blocks) > 1  # pairs straddling a segment edge are carried over
     assert sum(len(g) for _n0, _p, g in blocks) == 78497  # pi(10^6) - 1
     starts = [n0 for n0, _p, _g in blocks]
@@ -129,11 +130,15 @@ def test_min_gap_tail_matches_brute_force(oracle_primes_1m):
 
 
 @pytest.mark.parametrize("segment_size", [64, None])
-def test_min_gap_tail_when_a_checkpoint_is_the_last_pair(oracle_primes_1m, segment_size):
+def test_min_gap_tail_when_a_checkpoint_is_the_last_pair(
+    oracle_primes_1m, segment_size, set_segment_size
+):
+    if segment_size is not None:
+        set_segment_size(segment_size)
     # limit = p_(2^k + 1) makes n = 2^k the last pair; one less drops it
     for k in (2, 3, 7, 10, 12):
         for limit in (oracle_primes_1m[2**k] - 1, oracle_primes_1m[2**k]):
-            stats = gpy_statistics(limit, segment_size=segment_size)
+            stats = gpy_statistics(limit)
             records = [(n, g) for (n, _p, _q, g) in gap_records(oracle_primes_1m, limit) if n >= 2]
             checkpoints = [2**j for j in range(1, 13) if 2**j <= records[-1][0]]
             expected = [(c, min(g for n, g in records if n >= c)) for c in checkpoints]
@@ -145,9 +150,10 @@ def test_gpy_statistics_needs_a_usable_range():
         gpy_statistics(4)
 
 
-def test_statistics_deterministic_across_segmentation():
+def test_statistics_deterministic_across_segmentation(set_segment_size):
     a = gpy_statistics(10**5)
-    b = gpy_statistics(10**5, segment_size=777)
+    set_segment_size(777)
+    b = gpy_statistics(10**5)
     assert a == b
 
 

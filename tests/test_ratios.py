@@ -432,9 +432,10 @@ def test_hit_sets_are_monotone_in_strength(r1, r2, eps):
     assert set(weak.hits_n.tolist()) <= set(wider.hits_n.tolist())
 
 
-def test_scan_deterministic_across_threads():
+def test_scan_deterministic_across_threads(set_segment_size):
     a = prime_ratio_scan(2.0, 0.0, 10**5)
-    b = prime_ratio_scan(2.0, 0.0, 10**5, segment_size=1000)
+    set_segment_size(1000)
+    b = prime_ratio_scan(2.0, 0.0, 10**5)
     assert np.array_equal(a.hits_n, b.hits_n)
     assert np.array_equal(a.hits_threshold, b.hits_threshold)
 

@@ -50,10 +50,12 @@ def test_default_checkpoints_are_dyadic_plus_final():
     assert [r.n for r in rows] == [2, 4, 8, 16, 25]
 
 
-def test_every_index_as_a_checkpoint(oracle_primes_1m):
+def test_every_index_as_a_checkpoint(oracle_primes_1m, set_segment_size):
     every = list(range(1, 9593))  # pi(10^5) = 9592
-    rows = reciprocal_prime_sum(10**5, checkpoints=every, segment_size=64)
-    assert rows == reciprocal_prime_sum(10**5, checkpoints=every)
+    default = reciprocal_prime_sum(10**5, checkpoints=every)
+    set_segment_size(64)
+    rows = reciprocal_prime_sum(10**5, checkpoints=every)
+    assert rows == default
     assert [r.n for r in rows] == every
     assert [r.p_n for r in rows] == oracle_primes_1m[:9592]
     for n in (1, 2, 97, 1000, 4096, 9592):
@@ -111,7 +113,8 @@ def test_checkpoint_validation():
         reciprocal_prime_sum(100, checkpoints=[26])
 
 
-def test_deterministic_across_segmentation_and_threads():
+def test_deterministic_across_segmentation_and_threads(set_segment_size):
     base = reciprocal_prime_sum(10**5)
-    assert reciprocal_prime_sum(10**5, segment_size=1234) == base
-    assert reciprocal_prime_sum(10**5, segment_size=333) == base
+    for segment_size in (1234, 333):
+        set_segment_size(segment_size)
+        assert reciprocal_prime_sum(10**5) == base

@@ -8,6 +8,7 @@ import gaplab.sieve as sieve
 from gaplab.errors import CapacityError
 from gaplab.gaps import gpy_statistics, iter_gap_blocks, polignac_count
 from gaplab.ratios import gap_bound_report, prime_ratio_scan
+from gaplab.report import to_json
 from gaplab.series import pnt_ratio_track, reciprocal_prime_sum
 from gaplab.sieve import (
     MAX_LIMIT,
@@ -68,9 +69,10 @@ def test_nth_prime_prime_count_adjoint():
         assert nth_prime(prime_count(x)) <= x
 
 
-def test_index_consistency():
+def test_index_consistency(set_segment_size):
     # for each emitted prime p at index i, prime_count(p) == i
-    blocks = list(sieve_primes(10_000, segment_size=512))
+    set_segment_size(512)
+    blocks = list(sieve_primes(10_000))
     for block in blocks[:2]:
         for offset in (0, len(block) // 2, len(block) - 1):
             i = block.start_index + offset
@@ -78,10 +80,11 @@ def test_index_consistency():
             assert prime_count(p) == i
 
 
-def test_block_invariants():
+def test_block_invariants(set_segment_size):
     prev_end = 0
     prev_last = 0
-    for block in sieve_primes(50_000, segment_size=1024):
+    set_segment_size(1024)
+    for block in sieve_primes(50_000):
         assert isinstance(block, PrimeBlock)
         assert block.start_index == prev_end + 1
         arr = block.primes
@@ -92,23 +95,23 @@ def test_block_invariants():
         prev_last = int(arr[-1])
 
 
-def test_deterministic_across_segment_sizes_and_threads():
+def test_deterministic_across_segment_sizes_and_threads(set_segment_size):
     reference = primes_upto(200_000)
     for segment_size in (64, 101, 4096, 1 << 18, 999):
-        assert np.array_equal(primes_upto(200_000, segment_size=segment_size), reference)
+        set_segment_size(segment_size)
+        assert np.array_equal(primes_upto(200_000), reference)
 
 
-def test_block_index_structure_independent_of_threads():
-    seq = [(b.start_index, len(b)) for b in sieve_primes(100_000, segment_size=2048)]
-    par = [(b.start_index, len(b)) for b in sieve_primes(100_000, segment_size=2048, threads=4)]
+def test_block_index_structure_independent_of_threads(set_segment_size):
+    set_segment_size(2048)
+    seq = [(b.start_index, len(b)) for b in sieve_primes(100_000)]
+    par = [(b.start_index, len(b)) for b in sieve_primes(100_000, threads=4)]
     assert seq == par
 
 
 def test_domain_and_capacity_errors():
     with pytest.raises(ValueError):
         list(sieve_primes(1))
-    with pytest.raises(ValueError):
-        list(sieve_primes(100, segment_size=32))
     with pytest.raises(CapacityError) as exc:
         list(sieve_primes(MAX_LIMIT + 1))
     assert str(MAX_LIMIT) in str(exc.value)
@@ -122,11 +125,12 @@ def test_small_limits_match_oracle(limit):
     assert primes_upto(limit).tolist() == trial_division_primes(limit)
 
 
-def test_prime_dump_roundtrip(tmp_path):
+def test_prime_dump_roundtrip(tmp_path, set_segment_size):
     path = tmp_path / "primes.bin"
     count = 0
+    set_segment_size(64)
     with open(path, "wb") as fh:
-        for block in sieve_primes(1000, segment_size=64):
+        for block in sieve_primes(1000):
             write_dump_block(fh, block)
             count += len(block)
     assert count == 168
@@ -142,31 +146,32 @@ def oracle_2m() -> np.ndarray:
 
 
 @pytest.mark.parametrize("segment_size", [64, 101, 4099, 255_255, 1 << 20])
-def test_wheel_and_carried_offsets_match_dense_sieve(segment_size, oracle_2m):
+def test_wheel_and_carried_offsets_match_dense_sieve(segment_size, oracle_2m, set_segment_size):
     # 64 odds per segment carries every base prime's offset across 15,625
     # segments; 255,255 is one wheel period, 4099 and 101 never align with it
-    assert np.array_equal(primes_upto(2_000_003, segment_size=segment_size), oracle_2m)
+    set_segment_size(segment_size)
+    assert np.array_equal(primes_upto(2_000_003), oracle_2m)
 
 
-def test_limits_at_wheel_primes_and_period_edges(oracle_2m):
+def test_limits_at_wheel_primes_and_period_edges(oracle_2m, set_segment_size):
     period_edge = 2 * 255_255 + 1
     limits = [3, 5, 7, 9, 11, 13, 15, 17, 19, 23] + [period_edge + d for d in (-2, 0, 2)]
     for limit in limits:
         expected = oracle_2m[oracle_2m <= limit]
         for segment_size in (64, 255_255, 1 << 20):
-            assert np.array_equal(primes_upto(limit, segment_size=segment_size), expected), (
-                limit, segment_size,
-            )
-            assert prime_count(limit, segment_size=segment_size) == len(expected)
+            set_segment_size(segment_size)
+            assert np.array_equal(primes_upto(limit), expected), (limit, segment_size)
+            assert prime_count(limit) == len(expected)
 
 
-def test_prime_count_counts_bitmaps_without_materializing(monkeypatch):
+def test_prime_count_counts_bitmaps_without_materializing(monkeypatch, set_segment_size):
     def no_blocks(*args, **kwargs):
         raise AssertionError("prime_count went through sieve_primes")
 
     monkeypatch.setattr(sieve, "sieve_primes", no_blocks)
     assert prime_count(10**8) == 5_761_455
-    assert prime_count(2_000_003, segment_size=64) == 148_934  # dense-sieve oracle
+    set_segment_size(64)
+    assert prime_count(2_000_003) == 148_934  # dense-sieve oracle
 
 
 def test_threads_is_validated_and_ignored():
@@ -188,3 +193,52 @@ def test_library_takes_no_thread_count(fn):
 def test_sieve_primes_threads_is_keyword_only():
     param = inspect.signature(sieve_primes).parameters["threads"]
     assert param.kind is inspect.Parameter.KEYWORD_ONLY
+
+
+_STREAM_FUNCTIONS = [
+    sieve_primes, primes_upto, prime_count, nth_prime,
+    iter_gap_blocks, polignac_count, gpy_statistics,
+    reciprocal_prime_sum, pnt_ratio_track,
+    prime_ratio_scan, gap_bound_report,
+]
+
+
+@pytest.mark.parametrize("fn", _STREAM_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_library_takes_no_segment_size(fn):
+    assert "segment_size" not in inspect.signature(fn).parameters
+
+
+def _columns(blocks) -> tuple[list, ...]:
+    """A block stream as its concatenated columns; block edges drop out."""
+    return tuple(np.concatenate(col).tolist() for col in zip(*blocks))
+
+
+# pi(2 * 10^5) = 17,984; each base prime from 19 to 443 is carried across segments
+_EDGE_LIMIT = 2 * 10**5
+
+# each stream function at _EDGE_LIMIT, its result made comparable with ==
+_EDGE_RUNS = {
+    "sieve_primes": lambda: _columns(
+        (b.start_index + np.arange(len(b)), b.primes) for b in sieve_primes(_EDGE_LIMIT)
+    ),
+    "primes_upto": lambda: primes_upto(_EDGE_LIMIT).tolist(),
+    "prime_count": lambda: prime_count(_EDGE_LIMIT),
+    "nth_prime": lambda: [nth_prime(n) for n in (1, 5, 6, 1000, 17_984)],
+    "iter_gap_blocks": lambda: _columns(
+        (n0 + np.arange(len(g)), p, g) for n0, p, g in iter_gap_blocks(_EDGE_LIMIT)
+    ),
+    "polignac_count": lambda: [polignac_count(k, _EDGE_LIMIT) for k in (2, 6, 72)],
+    "gpy_statistics": lambda: gpy_statistics(_EDGE_LIMIT),
+    "reciprocal_prime_sum": lambda: reciprocal_prime_sum(_EDGE_LIMIT),
+    "pnt_ratio_track": lambda: pnt_ratio_track(checkpoints=[2, 3, 1000, 17_000]),
+    "prime_ratio_scan": lambda: to_json(prime_ratio_scan(2.0, 0.0, _EDGE_LIMIT)),
+    "gap_bound_report": lambda: to_json(gap_bound_report(3.0, 0.5, _EDGE_LIMIT, 10)),
+}
+
+
+@pytest.mark.parametrize("segment_size", [64, 101, 4099])
+@pytest.mark.parametrize("name", [fn.__name__ for fn in _STREAM_FUNCTIONS])
+def test_stream_functions_are_segment_invariant(name, segment_size, set_segment_size):
+    default = _EDGE_RUNS[name]()
+    set_segment_size(segment_size)
+    assert _EDGE_RUNS[name]() == default
