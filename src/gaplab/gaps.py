@@ -5,6 +5,13 @@ gaps (the twin-prime count is k = 2), normalized-gap minima in the two
 classical normalizations g_n/ln(p_n) and g_n/(sqrt(ln p_n) (ln ln p_n)^2),
 and running tail minima of the gap from dyadic checkpoints onward.
 
+The stream adapter lives here too: iter_gap_blocks turns prime blocks
+into (n0, p, g) pair blocks, _split_at cuts any index-ordered block
+stream after given indices (a cut after index c ends a piece with n = c,
+and the next piece starts at c + 1), and _dyadic_range is the one
+powers-of-two checkpoint schedule. The gap statistics, the ratio scan
+and the series trackers all cut their streams with these.
+
 Tail minima are finite-range proxies: a liminf statement concerns the
 infinite tail, so a scan to any limit yields evidence, never proof. All
 exports label them accordingly.
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,6 +78,43 @@ def iter_gap_blocks(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         carry = int(primes[-1])
 
 
+def _split_at(
+    blocks: Iterable[tuple], cuts: Iterable[int]
+) -> Iterator[tuple[int, tuple[np.ndarray, ...], int | None]]:
+    """Cut an index-ordered stream of (n0, *arrays) blocks after each index in cuts.
+
+    arrays[j][i] belongs to index n0 + i. Yields (n0, views, cut): views
+    are slices of one block's arrays starting at index n0, and cut is the
+    index the piece ends at, or None where it ends at a block edge. cuts
+    must increase strictly; cuts past the stream's last index are never
+    yielded.
+    """
+    pending = iter(cuts)
+    cut = next(pending, None)
+    for n0, *arrays in blocks:
+        size = len(arrays[0])
+        lo = 0
+        while cut is not None and cut < n0 + size:
+            hi = cut + 1 - n0
+            yield n0 + lo, tuple(a[lo:hi] for a in arrays), cut
+            lo = hi
+            cut = next(pending, None)
+        if lo < size:
+            yield n0 + lo, tuple(a[lo:] for a in arrays), None
+
+
+def _dyadic_range(lo: int, hi: int) -> list[int]:
+    """The powers of two c with lo <= c <= hi, ascending."""
+    out = []
+    c = 1
+    while c < lo:
+        c *= 2
+    while c <= hi:
+        out.append(c)
+        c *= 2
+    return out
+
+
 def polignac_count(k: int, limit: int) -> int:
     """Count of n >= 2 with g_n = k and p_next <= limit.
 
@@ -97,51 +141,33 @@ def gpy_statistics(limit: int) -> GapStats:
     gpy_min = math.inf
     gpy_sqrt_min = math.inf
     total = 0
+    # gap minima per interval [c, 2c) of dyadic checkpoints c, keyed by c;
+    # cutting after n = 1, 3, 7, ... keeps every piece inside one interval
+    interval_min: dict[int, int] = {}
 
-    # per-checkpoint-interval gap minima, suffix-minimized at the end;
-    # the first interval is [2, 4), so the first boundary to cross is 4
-    interval_mins: list[tuple[int, int]] = []
-    cur_min = np.iinfo(np.int64).max
-    next_cp = 4
-    cp_start = 2
-
-    for n0, p, g in iter_gap_blocks(limit):
+    cuts = [c - 1 for c in _dyadic_range(2, limit)]
+    for n0, (p, g), _cut in _split_at(iter_gap_blocks(limit), cuts):
         counts = np.bincount(g, minlength=len(hist))
         counts[: len(hist)] += hist
         hist = counts
         total += len(g)
 
         if n0 == 1:
-            # the minima start at n = 2; the first block holds 2, 3 and 5
-            n0, p, g = 2, p[1:], g[1:]
+            # the minima start at n = 2; this piece is the lone pair (2, 3)
+            continue
         logs = np.log(p.astype(np.float64))
         gm = g.astype(np.float64)
         gpy_min = min(gpy_min, float(np.min(gm / logs)))
         gpy_sqrt_min = min(
             gpy_sqrt_min, float(np.min(gm / (np.sqrt(logs) * np.log(logs) ** 2)))
         )
-        # walk the checkpoint boundaries that fall inside this block;
-        # g[i] is g_(n0+i)
-        lo = 0
-        while next_cp < n0 + len(g):
-            hi = next_cp - n0
-            if hi > lo:
-                cur_min = min(cur_min, int(g[lo:hi].min()))
-            interval_mins.append((cp_start, cur_min))
-            cur_min = np.iinfo(np.int64).max
-            cp_start = next_cp
-            next_cp *= 2
-            lo = hi
-        cur_min = min(cur_min, int(g[lo:].min()))
-    interval_mins.append((cp_start, cur_min))
+        cp = 1 << (n0.bit_length() - 1)
+        m = int(g.min())
+        interval_min[cp] = min(interval_min.get(cp, m), m)
 
     # suffix minima turn per-interval minima into from-checkpoint-onward minima
-    tail: list[tuple[int, int]] = []
-    running = np.iinfo(np.int64).max
-    for cp, m in reversed(interval_mins):
-        running = min(running, m)
-        tail.append((cp, int(running)))
-    tail.reverse()
+    suffix = np.minimum.accumulate(list(interval_min.values())[::-1])[::-1]
+    tail = list(zip(interval_min, suffix.tolist()))
 
     return GapStats(
         limit=limit,

@@ -41,7 +41,7 @@ from .expr import (
     format_sequence,
     parse_sequence,
 )
-from .gaps import iter_gap_blocks
+from .gaps import _dyadic_range, _split_at, iter_gap_blocks
 
 __all__ = [
     "RatioDiagnostics",
@@ -97,17 +97,6 @@ def ratio_excess(expr: SequenceExpr, n: int) -> float:
         v2 = eval_sequence_mp(expr, n + 1)
         nn = mpmath.mpf(n)
         return float(nn * mpmath.ln(nn) * (v1 / v2 - 1))
-
-
-def _dyadic_range(lo: int, hi: int) -> list[int]:
-    out = []
-    c = 1
-    while c < lo:
-        c *= 2
-    while c <= hi:
-        out.append(c)
-        c *= 2
-    return out
 
 
 @dataclass
@@ -571,43 +560,34 @@ def prime_ratio_scan(
     th_out: list[np.ndarray] = []
     bl_out: list[np.ndarray] = []
     n_hi = 0
-    scanned = 0
 
-    for n0, p, g in iter_gap_blocks(limit):
-        ns = n0 + np.arange(len(p), dtype=np.int64)
-        n_hi = int(ns[-1])
-        mask = ns >= n_lo
-        if not mask.any():
+    for n0, (p, g), _cut in _split_at(iter_gap_blocks(limit), [n_lo - 1]):
+        n_hi = n0 + len(p) - 1
+        if n0 < n_lo:
             continue
-        ns_m = ns[mask]
-        p_m = p[mask]
-        g_m = g[mask]
-        scanned += len(ns_m)
-
-        nf = ns_m.astype(np.float64)
-        pf = p_m.astype(np.float64)
+        ns = n0 + np.arange(len(p), dtype=np.int64)
+        nf = ns.astype(np.float64)
+        pf = p.astype(np.float64)
         thr = pf * (strength / (nf * np.log(nf)))
-        d = thr - g_m
+        d = thr - g
         margin = d / (pf + thr)
 
         is_hit = d > 0
-        borderline = np.zeros(len(ns_m), dtype=bool)
+        borderline = np.zeros(len(ns), dtype=bool)
         uncertain = (d >= -RECHECK_BAND * thr) & (margin <= 2 * BORDERLINE_REL)
         for idx in np.flatnonzero(uncertain).tolist():
-            hit, near = _recheck_mp(
-                int(ns_m[idx]), int(p_m[idx]), int(g_m[idx]), r, epsilon
-            )
+            hit, near = _recheck_mp(int(ns[idx]), int(p[idx]), int(g[idx]), r, epsilon)
             is_hit[idx] = hit
             borderline[idx] = near
 
         if is_hit.any():
-            ns_out.append(ns_m[is_hit])
-            ps_out.append(p_m[is_hit])
-            gs_out.append(g_m[is_hit])
+            ns_out.append(ns[is_hit])
+            ps_out.append(p[is_hit])
+            gs_out.append(g[is_hit])
             th_out.append(thr[is_hit])
             bl_out.append(borderline[is_hit])
 
-    if scanned == 0:
+    if n_hi < n_lo:
         raise ValueError(
             f"limit {limit} is too small to contain the prime pair at index {n_lo}"
         )

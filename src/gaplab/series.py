@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accum import DoubleDouble, exact_block_sum
+from .gaps import _dyadic_range, _split_at
 from .sieve import _nth_prime_bound, sieve_primes
 
 __all__ = ["SeriesCheckpoint", "reciprocal_prime_sum", "pnt_ratio_track"]
@@ -60,42 +61,21 @@ def _track(limit: int, checkpoints: list[int] | None) -> list[SeriesCheckpoint]:
 
     acc = DoubleDouble()
     out: list[SeriesCheckpoint] = []
-    count = 0
-    last_prime = 0
-
-    next_index = 0  # into the explicit checkpoints
-    next_dyadic = 2
-
-    for block in sieve_primes(limit):
-        primes = block.primes
-        # cut positions inside this block, in index order
-        cuts: list[int] = []
-        hi_index = count + len(primes)
-        if explicit:
-            while next_index < len(checkpoints) and checkpoints[next_index] <= hi_index:
-                cuts.append(checkpoints[next_index])
-                next_index += 1
-        else:
-            while next_dyadic <= hi_index:
-                cuts.append(next_dyadic)
-                next_dyadic *= 2
-        offsets = [c - count for c in cuts]
-        pieces = np.split(primes, offsets) if offsets else [primes]
-        for i, piece in enumerate(pieces):
-            if len(piece):
-                acc.add(*exact_block_sum(1.0 / piece.astype(np.float64)))
-                count += len(piece)
-                last_prime = int(piece[-1])
-            if i < len(cuts):
-                out.append(_checkpoint_record(cuts[i], last_prime, acc))
+    blocks = ((b.start_index, b.primes) for b in sieve_primes(limit))
+    cuts = checkpoints if explicit else _dyadic_range(2, limit)
+    for n0, (piece,), cut in _split_at(blocks, cuts):
+        acc.add(*exact_block_sum(1.0 / piece.astype(np.float64)))
+        n, p_n = n0 + len(piece) - 1, int(piece[-1])
+        if cut is not None:
+            out.append(_checkpoint_record(cut, p_n, acc))
 
     if explicit:
-        if next_index < len(checkpoints):
+        if len(out) < len(checkpoints):
             raise ValueError(
-                f"checkpoint {checkpoints[next_index]} exceeds the prime count {count} for limit {limit}"
+                f"checkpoint {checkpoints[len(out)]} exceeds the prime count {n} for limit {limit}"
             )
-    elif not out or out[-1].n != count:
-        out.append(_checkpoint_record(count, last_prime, acc))
+    elif not out or out[-1].n != n:
+        out.append(_checkpoint_record(n, p_n, acc))
     return out
 
 
@@ -117,8 +97,9 @@ def pnt_ratio_track(
 ) -> list[SeriesCheckpoint]:
     """p_n / (n ln n) at each checkpoint index (defined for n >= 2).
 
-    When limit is omitted, it is derived from the largest checkpoint via
-    the Rosser bound p_n < n (ln n + ln ln n).
+    A limit below 3 holds no n >= 2 and is rejected. When limit is
+    omitted, it is derived from the largest checkpoint via the Rosser
+    bound p_n < n (ln n + ln ln n).
     """
     if checkpoints is not None and any(c == 1 for c in checkpoints):
         raise ValueError("pnt ratio is undefined at n = 1: n ln n = 0 there")
@@ -126,4 +107,6 @@ def pnt_ratio_track(
         if not checkpoints:
             raise ValueError("either a limit or explicit checkpoints are required")
         limit = _nth_prime_bound(max(checkpoints))
+    elif limit < 3:
+        raise ValueError(f"pnt ratio needs n >= 2, so limit must be >= 3, got {limit}")
     return _track(limit, checkpoints)

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from gaplab.gaps import (
+    _split_at,
     gpy_statistics,
     iter_gap_blocks,
     literature_bounds,
@@ -43,6 +45,47 @@ def test_iter_gap_blocks_count_at_1e6(set_segment_size):
 def test_iter_gap_blocks_requires_a_pair():
     with pytest.raises(ValueError):
         next(iter_gap_blocks(2))
+
+
+def _hand_blocks():
+    """Indices 1..4, 5..7 and 8..10 as (n0, a, b) blocks with a[i] = n, b[i] = -n."""
+    a = np.arange(1, 11, dtype=np.int64)
+    b = -a
+    return [(1, a[0:4], b[0:4]), (5, a[4:7], b[4:7]), (8, a[7:10], b[7:10])]
+
+
+def _pieces(cuts):
+    out = []
+    for n0, (a, b), cut in _split_at(_hand_blocks(), cuts):
+        assert a.tolist() == list(range(n0, n0 + len(a)))
+        assert b.tolist() == [-n for n in a.tolist()]
+        out.append((n0, len(a), cut))
+    return out
+
+
+@pytest.mark.parametrize("cuts,expected", [
+    # a cut at a block's first index, and one at its last index
+    ([5], [(1, 4, None), (5, 1, 5), (6, 2, None), (8, 3, None)]),
+    ([7], [(1, 4, None), (5, 3, 7), (8, 3, None)]),
+    # two cuts in one block
+    ([2, 3], [(1, 2, 2), (3, 1, 3), (4, 1, None), (5, 3, None), (8, 3, None)]),
+    # a cut at the stream's last index
+    ([10], [(1, 4, None), (5, 3, None), (8, 3, 10)]),
+    # cuts past the end are never yielded
+    ([9, 11, 20], [(1, 4, None), (5, 3, None), (8, 2, 9), (10, 1, None)]),
+    ([], [(1, 4, None), (5, 3, None), (8, 3, None)]),
+])
+def test_split_at_cuts_after_each_index(cuts, expected):
+    assert _pieces(cuts) == expected
+
+
+def test_split_at_yields_views():
+    blocks = _hand_blocks()
+    owners = {n0: arrays for n0, *arrays in blocks}
+    block_of = {n: n0 for n0, a, _b in blocks for n in a.tolist()}
+    for n0, views, _cut in _split_at(blocks, [2, 3, 5, 7, 9]):
+        for view, owner in zip(views, owners[block_of[n0]]):
+            assert np.shares_memory(view, owner)
 
 
 def test_twin_counts(oracle_primes_1m):

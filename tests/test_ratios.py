@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import gaplab.ratios as ratios
 from gaplab.errors import PositivityError
 from gaplab.expr import eval_array, parse_sequence
+from gaplab.gaps import iter_gap_blocks
 from gaplab.ratios import (
     check_candidate,
     estimate_r,
@@ -304,6 +305,23 @@ def test_scan_matches_brute_force_oracle(oracle_primes_1m):
     report = prime_ratio_scan(3.0, 0.25, 10**4)
     oracle = brute_force_scan(oracle_primes_1m, 3.0, 0.25, 10**4)
     assert [(n, p, q, g) for n, p, q, g, _t, _b in report.iter_hits()] == oracle
+
+
+def test_scan_start_at_segment_edges(oracle_primes_1m, set_segment_size):
+    set_segment_size(64)
+    limit = 2 * 10**4
+    full = prime_ratio_scan(2.0, 0.0, limit, 2)
+    starts = [n0 for n0, _p, _g in iter_gap_blocks(limit)][1:11]
+    for n_lo in sorted({s + d for s in starts for d in (-1, 0, 1)}):
+        scan = prime_ratio_scan(2.0, 0.0, limit, n_lo)
+        keep = full.hits_n >= n_lo
+        for name in ("hits_n", "hits_gap", "hits_threshold", "hits_borderline"):
+            assert np.array_equal(getattr(scan, name), getattr(full, name)[keep]), (n_lo, name)
+        assert (scan.n_lo, scan.n_hi) == (n_lo, full.n_hi)
+        oracle = brute_force_scan(oracle_primes_1m, 2.0, 0.0, limit, n_lo)
+        assert [(n, g) for n, _p, _q, g in oracle] == list(
+            zip(scan.hits_n.tolist(), scan.hits_gap.tolist())
+        ), n_lo
 
 
 def test_scan_thresholds_bound_the_gaps():

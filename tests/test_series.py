@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import gaplab.series as series
 from gaplab.series import pnt_ratio_track, reciprocal_prime_sum
 
 from oracles import reciprocal_sum_exact, reciprocal_sum_mp
@@ -48,6 +49,18 @@ def test_partial_sums_strictly_increase():
 def test_default_checkpoints_are_dyadic_plus_final():
     rows = reciprocal_prime_sum(100)
     assert [r.n for r in rows] == [2, 4, 8, 16, 25]
+
+
+@pytest.mark.parametrize("segment_size", [64, None])
+def test_default_rows_end_once_at_a_dyadic_last_index(
+    oracle_primes_1m, segment_size, set_segment_size
+):
+    if segment_size is not None:
+        set_segment_size(segment_size)
+    # limit = p_(2^k) makes the dyadic checkpoint 2^k the final index too
+    for k in (1, 2, 6, 7, 10, 13):
+        rows = reciprocal_prime_sum(oracle_primes_1m[2**k - 1])
+        assert [r.n for r in rows] == [2**j for j in range(1, k + 1)]
 
 
 def test_every_index_as_a_checkpoint(oracle_primes_1m, set_segment_size):
@@ -95,6 +108,20 @@ def test_pnt_ratio_trend_over_oracle_confirmed_range():
 def test_pnt_ratio_rejects_n1():
     with pytest.raises(ValueError, match="n ln n"):
         pnt_ratio_track(checkpoints=[1, 2])
+
+
+def test_pnt_ratio_rejects_limits_below_3(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved before rejecting the limit")
+
+    monkeypatch.setattr(series, "sieve_primes", no_sieve)
+    for limit in (1, 2):
+        with pytest.raises(ValueError, match="limit must be >= 3"):
+            pnt_ratio_track(limit)
+    monkeypatch.undo()
+    # the sum itself is defined at n = 1
+    [row] = reciprocal_prime_sum(2)
+    assert (row.n, row.p_n, row.pnt_ratio) == (1, 2, None)
 
 
 def test_pnt_ratio_needs_limit_or_checkpoints():
