@@ -14,16 +14,22 @@ at parse time. Only n and ln are built in: ln-based closed forms cover
 the sequence families this library analyzes, and anything else would be
 an untestable extension.
 
-Two evaluation lanes: eval_sequence_mp computes one value through mpmath at
-extended precision; eval_array is the float64 bulk lane used for partial
-sums and range comparisons over millions of indices.
+Evaluation is one tree walk run in two lanes. eval_sequence_mp computes
+one value through mpmath at extended precision; eval_array is the float64
+bulk lane used for partial sums and range comparisons over millions of
+indices. A lane supplies four primitives (constant, ln, power, floor); the
+walk owns the arithmetic and the four faults (ln of a nonpositive
+argument, division by zero, a fractional power of a negative base, zero
+raised to a negative power), each tested per index and reported at the
+first offending one. So (n-5)^(n/2) is fine at n = 4, where (-1)^2 is an
+integer power, and fails at n = 3 in either lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Any, Callable, Union
 
 import mpmath
 import numpy as np
@@ -343,55 +349,74 @@ def format_sequence(expr: SequenceExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: exact/extended scalar lane
+# evaluation: one walk, two lanes
 
-def _eval_mp(node: SequenceExpr, x, n: int):
+
+@dataclass(frozen=True)
+class _Lane:
+    """The arithmetic primitives a lane supplies to the shared walk."""
+
+    const: Callable[[Fraction], Any]
+    ln: Callable[[Any], Any]
+    power: Callable[[Any, Any], Any]
+    floor: Callable[[Any], Any]
+
+
+def _np_power(base, expo):
+    with np.errstate(over="ignore"):
+        return np.power(base, expo)
+
+
+_MP = _Lane(
+    const=lambda q: mpmath.mpf(q.numerator) / q.denominator,
+    ln=mpmath.ln,
+    power=mpmath.power,
+    floor=mpmath.floor,
+)
+_NP = _Lane(const=float, ln=np.log, power=_np_power, floor=np.floor)
+
+
+def _first_bad(ns, mask) -> int:
+    # a 0-d mask comes from a constant subtree: it fails at every index
+    return int(ns[int(np.argmax(mask))]) if np.ndim(mask) else int(ns[0])
+
+
+def _check(bad, fault: str, node: SequenceExpr, ns) -> None:
+    if np.any(bad):
+        n = _first_bad(ns, bad)
+        raise EvalError(
+            f"{fault} in '{format_sequence(node)}' at n={n}", node=format_sequence(node), n=n
+        )
+
+
+def _eval(node: SequenceExpr, x, ns, lane: _Lane):
     if isinstance(node, Number):
-        return mpmath.mpf(node.value.numerator) / node.value.denominator
+        return lane.const(node.value)
     if isinstance(node, Var):
         return x
     if isinstance(node, Ln):
-        v = _eval_mp(node.arg, x, n)
-        if v <= 0:
-            raise EvalError(
-                f"ln of nonpositive argument in '{format_sequence(node)}' at n={n}",
-                node=format_sequence(node),
-                n=n,
-            )
-        return mpmath.ln(v)
+        v = _eval(node.arg, x, ns, lane)
+        _check(v <= 0, "ln of nonpositive argument", node, ns)
+        return lane.ln(v)
     if isinstance(node, Neg):
-        return -_eval_mp(node.arg, x, n)
+        return -_eval(node.arg, x, ns, lane)
     if isinstance(node, Add):
-        return _eval_mp(node.left, x, n) + _eval_mp(node.right, x, n)
+        return _eval(node.left, x, ns, lane) + _eval(node.right, x, ns, lane)
     if isinstance(node, Sub):
-        return _eval_mp(node.left, x, n) - _eval_mp(node.right, x, n)
+        return _eval(node.left, x, ns, lane) - _eval(node.right, x, ns, lane)
     if isinstance(node, Mul):
-        return _eval_mp(node.left, x, n) * _eval_mp(node.right, x, n)
+        return _eval(node.left, x, ns, lane) * _eval(node.right, x, ns, lane)
     if isinstance(node, Div):
-        den = _eval_mp(node.right, x, n)
-        if den == 0:
-            raise EvalError(
-                f"division by zero in '{format_sequence(node)}' at n={n}",
-                node=format_sequence(node),
-                n=n,
-            )
-        return _eval_mp(node.left, x, n) / den
+        den = _eval(node.right, x, ns, lane)
+        _check(den == 0, "division by zero", node, ns)
+        return _eval(node.left, x, ns, lane) / den
     if isinstance(node, Pow):
-        base = _eval_mp(node.base, x, n)
-        expo = _eval_mp(node.exponent, x, n)
-        if base == 0 and expo < 0:
-            raise EvalError(
-                f"zero raised to a negative power in '{format_sequence(node)}' at n={n}",
-                node=format_sequence(node),
-                n=n,
-            )
-        if base < 0 and expo != mpmath.floor(expo):
-            raise EvalError(
-                f"fractional power of a negative base in '{format_sequence(node)}' at n={n}",
-                node=format_sequence(node),
-                n=n,
-            )
-        return mpmath.power(base, expo)
+        base = _eval(node.base, x, ns, lane)
+        expo = _eval(node.exponent, x, ns, lane)
+        fractional = expo != lane.floor(expo)
+        _check((base < 0) & fractional, "fractional power of a negative base", node, ns)
+        _check((base == 0) & (expo < 0), "zero raised to a negative power", node, ns)
+        return lane.power(base, expo)
     raise TypeError(f"not a sequence expression node: {node!r}")
 
 
@@ -404,7 +429,7 @@ def eval_sequence_mp(expr: SequenceExpr, n: int):
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
     with mpmath.workdps(EVAL_DPS):
-        val = _eval_mp(expr, mpmath.mpf(n), n)
+        val = _eval(expr, mpmath.mpf(n), [n], _MP)
         if not mpmath.isfinite(val):
             raise EvalError(
                 f"evaluation of '{format_sequence(expr)}' is not finite at n={n}",
@@ -420,78 +445,13 @@ def eval_sequence_mp(expr: SequenceExpr, n: int):
         return val
 
 
-# ---------------------------------------------------------------------------
-# evaluation: float64 bulk lane
-
-def _first_bad(ns: np.ndarray, mask) -> int:
-    idx = int(np.argmax(mask))
-    return int(ns[idx]) if np.ndim(mask) else int(ns[0])
-
-
-def _eval_np(node: SequenceExpr, x: np.ndarray, ns: np.ndarray):
-    if isinstance(node, Number):
-        return float(node.value)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Ln):
-        v = _eval_np(node.arg, x, ns)
-        bad = np.asarray(v) <= 0
-        if bad.any():
-            raise EvalError(
-                f"ln of nonpositive argument in '{format_sequence(node)}' at n={_first_bad(ns, bad)}",
-                node=format_sequence(node),
-                n=_first_bad(ns, bad),
-            )
-        return np.log(v)
-    if isinstance(node, Neg):
-        return -_eval_np(node.arg, x, ns)
-    if isinstance(node, Add):
-        return _eval_np(node.left, x, ns) + _eval_np(node.right, x, ns)
-    if isinstance(node, Sub):
-        return _eval_np(node.left, x, ns) - _eval_np(node.right, x, ns)
-    if isinstance(node, Mul):
-        return _eval_np(node.left, x, ns) * _eval_np(node.right, x, ns)
-    if isinstance(node, Div):
-        den = _eval_np(node.right, x, ns)
-        bad = np.asarray(den) == 0
-        if bad.any():
-            raise EvalError(
-                f"division by zero in '{format_sequence(node)}' at n={_first_bad(ns, bad)}",
-                node=format_sequence(node),
-                n=_first_bad(ns, bad),
-            )
-        return _eval_np(node.left, x, ns) / den
-    if isinstance(node, Pow):
-        base = _eval_np(node.base, x, ns)
-        expo = _eval_np(node.exponent, x, ns)
-        base_arr = np.asarray(base, dtype=np.float64)
-        expo_arr = np.asarray(expo, dtype=np.float64)
-        if (base_arr < 0).any() and not np.all(expo_arr == np.floor(expo_arr)):
-            bad = (base_arr < 0) | np.zeros_like(np.asarray(x), dtype=bool)
-            raise EvalError(
-                f"fractional power of a negative base in '{format_sequence(node)}' "
-                f"at n={_first_bad(ns, bad)}",
-                node=format_sequence(node),
-                n=_first_bad(ns, bad),
-            )
-        if ((base_arr == 0) & (expo_arr < 0)).any():
-            bad = (base_arr == 0) & (expo_arr < 0) | np.zeros_like(np.asarray(x), dtype=bool)
-            raise EvalError(
-                f"zero raised to a negative power in '{format_sequence(node)}' "
-                f"at n={_first_bad(ns, bad)}",
-                node=format_sequence(node),
-                n=_first_bad(ns, bad),
-            )
-        with np.errstate(over="ignore"):
-            return np.power(base, expo)
-    raise TypeError(f"not a sequence expression node: {node!r}")
-
-
 def eval_array(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
-    """Evaluate at every index in ns (float64 lane).
+    """Evaluate at every index in ns through the float64 lane.
 
-    Same error contract as eval_sequence_mp, reported at the first offending
-    index; the whole result must be finite and strictly positive.
+    Runs the same walk and fault checks as eval_sequence_mp, elementwise,
+    and reports each fault at the first offending index of ns. On top of
+    them, float64 overflow shows up here as "not finite", where mpmath
+    would return a value, and every result must be strictly positive.
     """
     ns = np.asarray(ns)
     if ns.size == 0:
@@ -499,7 +459,7 @@ def eval_array(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
     if int(ns.min()) < 1:
         raise ValueError(f"sequence indices must be >= 1, got {int(ns.min())}")
     x = ns.astype(np.float64)
-    out = _eval_np(expr, x, ns)
+    out = _eval(expr, x, ns, _NP)
     out = np.broadcast_to(np.asarray(out, dtype=np.float64), x.shape).copy()
     nonfinite = ~np.isfinite(out)
     if nonfinite.any():

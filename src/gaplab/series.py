@@ -68,6 +68,8 @@ def _track(limit: int, checkpoints: list[int] | None) -> list[SeriesCheckpoint]:
         n, p_n = n0 + len(piece) - 1, int(piece[-1])
         if cut is not None:
             out.append(_checkpoint_record(cut, p_n, acc))
+            if explicit and len(out) == len(checkpoints):
+                return out
 
     if explicit:
         if len(out) < len(checkpoints):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -304,6 +305,55 @@ def test_array_lane_error_reporting():
         eval_array(parse_sequence("n-5"), np.arange(5, 10))
     with pytest.raises(ValueError):
         eval_array(parse_sequence("n"), np.array([0, 1]))
+
+
+def test_negative_base_rule_is_per_index():
+    # (n-5)^(n/2) at n = 4 is (-1)^2: an integer power, fine in both lanes
+    tree = parse_sequence("(n-5)^(n/2)")
+    got = eval_array(tree, np.array([4, 7]))
+    assert got.tolist() == [float(eval_sequence_mp(tree, 4)), float(eval_sequence_mp(tree, 7))]
+    assert got[0] == 1.0 and math.isclose(got[1], 2**3.5, rel_tol=1e-15)
+    # (n-4)^(n/2) at n = 2 is (-2)^1 = -2: not positive, as in the scalar lane
+    tree = parse_sequence("(n-4)^(n/2)")
+    with pytest.raises(PositivityError, match="n=2"):
+        eval_sequence_mp(tree, 2)
+    with pytest.raises(PositivityError, match="n=2") as bulk:
+        eval_array(tree, np.array([2, 5]))
+    assert bulk.value.n == 2
+    # at n = 3 it is (-1)^1.5, wherever 3 sits in the index array
+    with pytest.raises(EvalError, match="negative base in '\\(n - 4\\)\\^\\(n/2\\)' at n=3"):
+        eval_array(tree, np.array([6, 3]))
+
+
+@pytest.mark.parametrize(
+    "text, n, also_bad, error, message, node",
+    [
+        ("1/ln(n)", 1, [], EvalError, "division by zero in", "1/ln(n)"),
+        ("ln(n-5)", 3, [4], EvalError, "ln of nonpositive argument in", "ln(n - 5)"),
+        ("(n-5)^0.5", 3, [4], EvalError, "fractional power of a negative base in", "(n - 5)^0.5"),
+        ("(n-3)^-1", 3, [], EvalError, "zero raised to a negative power in", "(n - 3)^-1"),
+        ("n-5", 3, [4], PositivityError, "not a positive sequence at n=3:", "n - 5"),
+    ],
+)
+def test_both_lanes_fail_alike(text, n, also_bad, error, message, node):
+    # 9 and 7 are valid indices; the array lane must name n, its first bad one
+    tree = parse_sequence(text)
+    pattern = re.escape(f"{message} '{node}'")
+    with pytest.raises(error, match=pattern) as scalar:
+        eval_sequence_mp(tree, n)
+    with pytest.raises(error, match=pattern) as bulk:
+        eval_array(tree, np.array([9, 7, n, *also_bad]))
+    assert type(bulk.value) is type(scalar.value)
+    assert (bulk.value.n, bulk.value.node) == (scalar.value.n, scalar.value.node) == (n, node)
+
+
+def test_only_the_array_lane_overflows():
+    tree = parse_sequence("(n^n)^n")
+    with pytest.raises(EvalError, match=re.escape("'(n^n)^n' is not finite at n=17")) as bulk:
+        eval_array(tree, np.array([2, 17, 18]))
+    assert (bulk.value.n, bulk.value.node) == (17, "(n^n)^n")
+    # mpmath has no float64 exponent limit: 17^289 is about 4e355
+    assert mpmath.isfinite(eval_sequence_mp(tree, 17))
 
 
 def test_array_lane_empty_input():

@@ -140,6 +140,27 @@ def test_checkpoint_validation():
         reciprocal_prime_sum(100, checkpoints=[26])
 
 
+def test_explicit_checkpoints_stop_the_sieve(monkeypatch, set_segment_size):
+    set_segment_size(64)
+    blocks = list(series.sieve_primes(10**5))
+    real_sieve, pulled = series.sieve_primes, 0
+
+    def counted(limit):
+        nonlocal pulled
+        for block in real_sieve(limit):
+            pulled += 1
+            yield block
+
+    monkeypatch.setattr(series, "sieve_primes", counted)
+    rows = reciprocal_prime_sum(10**5, [100])
+    assert pulled == sum(b.start_index <= 100 for b in blocks) < len(blocks)
+    # p_100 = 541, so the default rows of limit 541 end with the same row
+    assert rows == [reciprocal_prime_sum(541)[-1]]
+    # a checkpoint left over still drains the stream for the full count
+    with pytest.raises(ValueError, match="exceeds the prime count 9592"):
+        reciprocal_prime_sum(10**5, [10, 10**6])
+
+
 def test_deterministic_across_segmentation_and_threads(set_segment_size):
     base = reciprocal_prime_sum(10**5)
     for segment_size in (1234, 333):
