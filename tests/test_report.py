@@ -310,6 +310,26 @@ def test_hand_built_scan_matches_golden_bytes(monkeypatch, hit_rows):
     assert got == GOLDEN_HAND_SCAN_SHA256
 
 
+# sha256 of exports whose floats come out of accum.exact_block_sum at full
+# block length, frozen from the two-fsum kernel that preceded the bin sums
+GOLDEN_EXACT_SUM_SHA256 = {
+    "series 1e7 json": "bafc940212290dc43db8a63d7b5ad8c6c943ec68990caa891a11d82793b07476",
+    "series 1e7 csv": "bc0344b6112cfadd223bd73e6664bd57a577c1425eed5dc91d349ef48ec746ac",
+    "1/(n*ln(n)^2)": "9b0985fcc0f21b9d4e7e4fc32b3aee541eca17f81ca54490972868141e0a0885",
+    "1/ln(n)^2": "92c3f032ecc23433769973d6f11a1e8071364e1b8088d007a6cde771fa8a03d3",
+    # non-monotone terms: the block sums see no ordered input
+    "(3+(0-1)^n)/n^2": "e9b4dae0eb9386bf88a17575b08580eacc0fd8e0b5fddd3d62a76c1687fbe974",
+}
+
+
+def test_exact_sum_exports_match_golden_bytes():
+    series = reciprocal_prime_sum(10**7)
+    got = {"series 1e7 json": _sha256(to_json(series)), "series 1e7 csv": _sha256(to_csv(series))}
+    for text in ("1/(n*ln(n)^2)", "1/ln(n)^2", "(3+(0-1)^n)/n^2"):
+        got[text] = _sha256(to_json(check_candidate(parse_sequence(text), 1.0, 2, 2**20)))
+    assert got == GOLDEN_EXACT_SUM_SHA256
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_row_template_float_format_is_format_float(x):
     assert "%.15g" % x == format_float(x)
