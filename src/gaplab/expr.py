@@ -367,10 +367,27 @@ def _np_power(base, expo):
         return np.power(base, expo)
 
 
+# A power whose log-magnitude |expo * ln|base|| exceeds this saturates to inf
+# or 0, as float64 does far sooner. The cap lies far past every value the
+# float lane can hold (|ln| < 745) and far below where mpmath.power stops
+# returning: 1.5^(10^1000) takes a second and 1.5^(10^31000) never ends.
+_MP_LOG_CAP = 2**64
+
+
+def _mp_power(base, expo):
+    if base != 0:
+        magnitude = expo * mpmath.ln(abs(base))
+        if magnitude > _MP_LOG_CAP:
+            return mpmath.inf
+        if magnitude < -_MP_LOG_CAP:
+            return mpmath.mpf(0)
+    return mpmath.power(base, expo)
+
+
 _MP = _Lane(
     const=lambda q: mpmath.mpf(q.numerator) / q.denominator,
     ln=mpmath.ln,
-    power=mpmath.power,
+    power=_mp_power,
     floor=mpmath.floor,
 )
 _NP = _Lane(const=float, ln=np.log, power=_np_power, floor=np.floor)
@@ -413,9 +430,15 @@ def _eval(node: SequenceExpr, x, ns, lane: _Lane):
     if isinstance(node, Pow):
         base = _eval(node.base, x, ns, lane)
         expo = _eval(node.exponent, x, ns, lane)
+        # the exponent side is often a constant that holds nowhere, and a
+        # bool array & a numpy bool scalar is numpy's slow path (about 11 ms
+        # per 8 M elements, against 0.7 ms for two arrays)
         fractional = expo != lane.floor(expo)
-        _check((base < 0) & fractional, "fractional power of a negative base", node, ns)
-        _check((base == 0) & (expo < 0), "zero raised to a negative power", node, ns)
+        if np.any(fractional):
+            _check((base < 0) & fractional, "fractional power of a negative base", node, ns)
+        negative = expo < 0
+        if np.any(negative):
+            _check((base == 0) & negative, "zero raised to a negative power", node, ns)
         return lane.power(base, expo)
     raise TypeError(f"not a sequence expression node: {node!r}")
 
@@ -460,7 +483,8 @@ def eval_array(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
         raise ValueError(f"sequence indices must be >= 1, got {int(ns.min())}")
     x = ns.astype(np.float64)
     out = _eval(expr, x, ns, _NP)
-    out = np.broadcast_to(np.asarray(out, dtype=np.float64), x.shape).copy()
+    if np.ndim(out) == 0:
+        out = np.full(x.shape, out, dtype=np.float64)
     nonfinite = ~np.isfinite(out)
     if nonfinite.any():
         raise EvalError(

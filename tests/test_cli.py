@@ -283,18 +283,31 @@ def test_stdout_dash_is_stdout(capsys):
     assert out.startswith("name,bound")
 
 
-def test_console_entry_point_runs():
+def run_child(args: list[str], **kwargs) -> subprocess.CompletedProcess:
     # the child must import the gaplab under test, installed or not
     package_root = str(Path(gaplab.__file__).resolve().parent.parent)
     child_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gaplab", "sieve", "--limit", "50"],
+    return subprocess.run(
+        [sys.executable, "-m", "gaplab", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": child_path},
+        **kwargs,
     )
+
+
+def test_console_entry_point_runs():
+    proc = run_child(["sieve", "--limit", "50"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["prime_count"] == 15
+
+
+def test_power_tower_fails_fast_instead_of_hanging():
+    # the exponent is about 10^31000: an unsaturated mpmath.power never
+    # returns, and no signal interrupts it, so only a child can time out
+    proc = run_child(["star", "--expr", "1.5^(ln(3)^15^5)/n^2", "--r", "1"], timeout=30)
+    assert proc.returncode == 1
+    assert "not finite" in proc.stderr
 
 
 def test_identical_runs_produce_identical_bytes(tmp_path):

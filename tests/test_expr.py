@@ -14,6 +14,7 @@ from gaplab.errors import (
     UnknownIdentifierError,
 )
 from gaplab.expr import (
+    EVAL_DPS,
     Add,
     Div,
     Ln,
@@ -354,6 +355,25 @@ def test_only_the_array_lane_overflows():
     assert (bulk.value.n, bulk.value.node) == (17, "(n^n)^n")
     # mpmath has no float64 exponent limit: 17^289 is about 4e355
     assert mpmath.isfinite(eval_sequence_mp(tree, 17))
+
+
+def test_power_tower_fails_alike_in_both_lanes():
+    # ln(3)^15^5 is about 10^31000; mpmath.power would never return
+    tree = parse_sequence("1.5^(ln(3)^15^5)")
+    with pytest.raises(EvalError, match="is not finite at n=1") as scalar:
+        eval_sequence_mp(tree, 1)
+    with pytest.raises(EvalError) as bulk:
+        eval_array(tree, np.array([1]))
+    assert str(bulk.value) == str(scalar.value)
+    assert (bulk.value.n, bulk.value.node) == (scalar.value.n, scalar.value.node)
+
+
+def test_powers_below_the_magnitude_cap_are_unchanged():
+    # n^(-n) at n = 2^25 has a log-magnitude of about -5.8e8
+    n = 2**25
+    got = eval_sequence_mp(parse_sequence("n^(-n)"), n)
+    with mpmath.workdps(EVAL_DPS):
+        assert got == mpmath.power(n, -n) > 0
 
 
 def test_array_lane_empty_input():
