@@ -22,7 +22,9 @@ walk owns the arithmetic and the four faults (ln of a nonpositive
 argument, division by zero, a fractional power of a negative base, zero
 raised to a negative power), each tested per index and reported at the
 first offending one. So (n-5)^(n/2) is fine at n = 4, where (-1)^2 is an
-integer power, and fails at n = 3 in either lane.
+integer power, and fails at n = 3 in either lane. The mpmath power
+saturates to inf or 0 past a log-magnitude of 2^64, so a power tower
+fails "not finite" in both lanes instead of running for ever.
 """
 
 from __future__ import annotations
