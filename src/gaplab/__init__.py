@@ -9,7 +9,6 @@ sizes; everything asymptotic is reported as finite-range evidence, never
 proof.
 """
 
-from .accum import DoubleDouble, exact_block_sum, two_sum
 from .errors import (
     CapacityError,
     EvalError,

@@ -5,28 +5,20 @@ millions of terms, where plain float64 accumulation is not trusted at the
 digits we print. Each block of terms is summed exactly: a finite double is
 an integer mantissa times a power of two, so per-exponent integer bins add
 a block with no rounding at all (Neal, "Fast exact summation using small
-and large superaccumulators", arXiv:1505.05571). The exact block sum leaves
-the bins once, as a correctly rounded head/tail pair of doubles, and enters
-a running sum kept as an unevaluated pair of doubles (roughly 32
-significant decimal digits). A block's pair does not depend on the order
-of its terms.
+and large superaccumulators", arXiv:1505.05571). The block sum is returned
+as an exact Fraction, so a tracker keeps one exact running total and rounds
+it once per checkpoint: every reported partial sum is the correctly rounded
+sum of the float terms, whatever their order or the cut of the blocks.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-__all__ = ["two_sum", "DoubleDouble", "exact_block_sum"]
-
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Error-free transformation: returns (s, err) with a + b = s + err exactly."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
+__all__ = ["exact_block_sum"]
 
 
 # frexp writes a finite x as f * 2**e with 0.5 <= |f| < 1 and e >= -1073
@@ -61,44 +53,17 @@ def _scaled_sum(x: np.ndarray) -> int:
     )
 
 
-def exact_block_sum(values: Iterable[float]) -> tuple[float, float]:
-    """Sum a block of finite floats, returned as a head/tail pair.
+def exact_block_sum(values: Iterable[float]) -> Fraction:
+    """The exact sum of a block of finite floats, as a Fraction.
 
-    The head is the exact sum correctly rounded, which is what
-    ``math.fsum`` returns; the tail is the exact remainder (sum - head)
-    correctly rounded, which is what a second ``fsum`` over the terms and
-    -head returns. The pair represents the exact sum to about 2**-106
-    relative. Non-finite terms raise ValueError, and a sum beyond the
-    float range raises OverflowError.
+    Its float() is the correctly rounded sum, which is what ``math.fsum``
+    returns, and raises OverflowError beyond the float range. The value
+    does not depend on the order of the terms. Non-finite terms raise
+    ValueError.
     """
     if isinstance(values, np.ndarray):
         x = np.asarray(values, dtype=np.float64)
     else:
         x = np.fromiter(values, np.float64)
     total = sum(_scaled_sum(x[i : i + _SLICE]) for i in range(0, x.size, _SLICE))
-    # int true division rounds correctly, into the subnormals too
-    scale = 1 << _BIAS
-    head = total / scale
-    num, den = head.as_integer_ratio()
-    return head, (total - num * (scale // den)) / scale
-
-
-class DoubleDouble:
-    """Running sum held as an unevaluated pair hi + lo of floats."""
-
-    __slots__ = ("hi", "lo")
-
-    def __init__(self, hi: float = 0.0, lo: float = 0.0):
-        self.hi = hi
-        self.lo = lo
-
-    def add(self, hi: float, lo: float = 0.0) -> None:
-        s, e = two_sum(self.hi, hi)
-        t = self.lo + lo + e
-        self.hi, self.lo = two_sum(s, t)
-
-    def value(self) -> float:
-        return self.hi + self.lo
-
-    def __repr__(self) -> str:
-        return f"DoubleDouble({self.hi!r}, {self.lo!r})"
+    return Fraction(total, 1 << _BIAS)

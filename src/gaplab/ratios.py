@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator
 
 import mpmath
 import numpy as np
 
-from .accum import DoubleDouble, exact_block_sum
+from .accum import exact_block_sum
 from .expr import (
     SequenceExpr,
     eval_array,
@@ -318,6 +319,8 @@ def summability_probe(
     """Gather convergence evidence for the sum of expr over n >= 2.
 
     Requires n_max >= 1024 so the dyadic windows have something to say.
+    Each partial sum is the exact sum of the float64 terms, correctly
+    rounded; one beyond the float range raises OverflowError.
     """
     if n_max < 1024:
         raise ValueError(f"n_max must be >= 1024, got {n_max}")
@@ -325,15 +328,16 @@ def summability_probe(
     checkpoints = _dyadic_range(2, n_max)
     if checkpoints[-1] != n_max:
         checkpoints.append(n_max)
-    acc = DoubleDouble()
+    blocks = (
+        (lo, eval_array(expr, np.arange(lo, hi + 1, dtype=np.int64)))
+        for lo, hi in _chunks(2, n_max)
+    )
+    acc = Fraction(0)
     sums: list[tuple[int, float]] = []
-    prev = 2
-    for cp in checkpoints:
-        for lo, hi in _chunks(prev, cp):
-            ns = np.arange(lo, hi + 1, dtype=np.int64)
-            acc.add(*exact_block_sum(eval_array(expr, ns)))
-        sums.append((cp, acc.value()))
-        prev = cp + 1
+    for _n0, (piece,), cut in _split_at(blocks, checkpoints):
+        acc += exact_block_sum(piece)
+        if cut is not None:
+            sums.append((cut, float(acc)))
 
     dyadic_sums = [(n, s) for n, s in sums if n & (n - 1) == 0]
     increments = [

@@ -5,19 +5,21 @@ checkpoint indices. Checkpoints default to powers of two plus the final
 index: log-spaced evidence is the only kind that says anything about
 series this slow (the reciprocal-prime sum grows like ln ln x).
 
-partial_sum is carried in a double-double accumulator (~32 significant
-digits); loglog_gap = partial_sum - ln ln p_n is reported as a plumbing
-observation with no convergence claim attached.
+partial_sum is the exact sum of the float64 terms 1/p, kept as one exact
+running total and correctly rounded at each checkpoint; loglog_gap =
+partial_sum - ln ln p_n is reported as a plumbing observation with no
+convergence claim attached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .accum import DoubleDouble, exact_block_sum
+from .accum import exact_block_sum
 from .gaps import _dyadic_range, _split_at
 from .sieve import _nth_prime_bound, sieve_primes
 
@@ -39,8 +41,7 @@ class SeriesCheckpoint:
     loglog_gap: float | None
 
 
-def _checkpoint_record(n: int, p_n: int, acc: DoubleDouble) -> SeriesCheckpoint:
-    partial = acc.value()
+def _checkpoint_record(n: int, p_n: int, partial: float) -> SeriesCheckpoint:
     ratio = p_n / (n * math.log(n)) if n >= 2 else None
     gap = partial - math.log(math.log(p_n)) if p_n >= 3 else None
     return SeriesCheckpoint(n=n, p_n=p_n, partial_sum=partial, pnt_ratio=ratio, loglog_gap=gap)
@@ -59,15 +60,15 @@ def _track(limit: int, checkpoints: list[int] | None) -> list[SeriesCheckpoint]:
         if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
             raise ValueError(f"checkpoints must be strictly increasing, got {checkpoints}")
 
-    acc = DoubleDouble()
+    acc = Fraction(0)
     out: list[SeriesCheckpoint] = []
     blocks = ((b.start_index, b.primes) for b in sieve_primes(limit))
     cuts = checkpoints if explicit else _dyadic_range(2, limit)
     for n0, (piece,), cut in _split_at(blocks, cuts):
-        acc.add(*exact_block_sum(1.0 / piece.astype(np.float64)))
+        acc += exact_block_sum(1.0 / piece.astype(np.float64))
         n, p_n = n0 + len(piece) - 1, int(piece[-1])
         if cut is not None:
-            out.append(_checkpoint_record(cut, p_n, acc))
+            out.append(_checkpoint_record(cut, p_n, float(acc)))
             if explicit and len(out) == len(checkpoints):
                 return out
 
@@ -77,7 +78,7 @@ def _track(limit: int, checkpoints: list[int] | None) -> list[SeriesCheckpoint]:
                 f"checkpoint {checkpoints[len(out)]} exceeds the prime count {n} for limit {limit}"
             )
     elif not out or out[-1].n != n:
-        out.append(_checkpoint_record(n, p_n, acc))
+        out.append(_checkpoint_record(n, p_n, float(acc)))
     return out
 
 
@@ -86,8 +87,8 @@ def reciprocal_prime_sum(
 ) -> list[SeriesCheckpoint]:
     """Partial sums of 1/p_1 + 1/p_2 + ... at the checkpoint indices.
 
-    Sums are accumulated in ascending prime order with a double-double
-    accumulator, so the reported values do not depend on segmentation.
+    Each value is the exact sum of the float64 terms 1/p, correctly
+    rounded, so the reported values do not depend on segmentation.
     Checkpoints default to powers of two plus the final index; an explicit
     empty list is rejected.
     """

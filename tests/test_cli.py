@@ -202,6 +202,10 @@ def test_computation_errors_exit_1(capsys):
     )
     assert code == 1
     assert "exceeds the prime count" in json.loads(err)["error"]["message"]
+    # a partial sum beyond the float range
+    code, _, err = invoke(["star", "--expr", "10^302", "--r", "2", "--n-max", "2097152"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "OverflowError"
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):

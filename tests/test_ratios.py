@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -200,6 +201,31 @@ def test_probe_partial_sums_and_increments_are_consistent():
         assert math.isclose(inc, sums[n] - sums[n // 2], rel_tol=1e-12)
     # converging toward pi^2/6 - 1
     assert abs(sums[2**12] - (math.pi**2 / 6 - 1)) < 1e-3
+
+
+def test_probe_partial_sums_are_correctly_rounded():
+    # the terms at n = 2, 3, 4 are 1, 2^-53 and 2^-106 (the 2^-1074 keeps
+    # later terms positive): their sum lies just above the tie between 1
+    # and 1 + 2^-52, so it rounds up, where adding 2^-53 first rounds down
+    tree = expr("2^(-53*(n-2)) + 2^(-1074)")
+    probe = summability_probe(tree, 1024)
+    assert dict(probe.partial_sums)[4] == 1 + 2**-52
+    terms = list(map(Fraction, eval_array(tree, np.arange(2, 1025)).tolist()))
+    for n, partial in probe.partial_sums:
+        assert partial == float(sum(terms[: n - 1]))
+
+
+@pytest.mark.parametrize("text", ["1/(n*ln(n)^2)", "2^(-53*(n-2)) + 2^(-1074)"])
+def test_probe_partial_sums_do_not_depend_on_the_chunk(monkeypatch, text):
+    whole = summability_probe(expr(text), 1500)
+    monkeypatch.setattr(ratios, "_CHUNK", 7)
+    assert summability_probe(expr(text), 1500).partial_sums == whole.partial_sums
+
+
+def test_probe_partial_sum_beyond_the_float_range_raises():
+    # 2^20 terms of 10^302 stay below the largest double, 2^21 do not
+    with pytest.raises(OverflowError):
+        summability_probe(expr("10^302"), 2**21)
 
 
 def test_probe_never_claims_proof():

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 import gaplab.series as series
@@ -75,6 +76,21 @@ def test_every_index_as_a_checkpoint(oracle_primes_1m, set_segment_size):
         ref = reciprocal_sum_mp(oracle_primes_1m, rows[n - 1].p_n, dps=40)
         with mpmath.workdps(40):
             assert abs(mpmath.mpf(rows[n - 1].partial_sum) - ref) / ref < mpmath.mpf(1e-15)
+
+
+@pytest.mark.parametrize("segment_size", [64, 101, 4099])
+def test_checkpoints_are_correctly_rounded_exact_sums(
+    oracle_primes_1m, segment_size, set_segment_size
+):
+    set_segment_size(segment_size)
+    primes = np.array(oracle_primes_1m[:9592], dtype=np.float64)  # pi(10^5) = 9592
+    terms = [Fraction(t) for t in (1.0 / primes).tolist()]
+    for rows in (reciprocal_prime_sum(10**5), reciprocal_prime_sum(10**4, list(range(1, 1230)))):
+        exact, done = Fraction(0), 0
+        for row in rows:
+            exact += sum(terms[done : row.n])
+            done = row.n
+            assert row.partial_sum == float(exact)
 
 
 def test_loglog_gap_none_while_p_below_3():
