@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["exact_block_sum"]
+__all__ = ["exact_block_sum", "rounded_partial_sum"]
 
 
 # frexp writes a finite x as f * 2**e with 0.5 <= |f| < 1 and e >= -1073
@@ -67,3 +67,14 @@ def exact_block_sum(values: Iterable[float]) -> Fraction:
         x = np.fromiter(values, np.float64)
     total = sum(_scaled_sum(x[i : i + _SLICE]) for i in range(0, x.size, _SLICE))
     return Fraction(total, 1 << _BIAS)
+
+
+def rounded_partial_sum(total: Fraction, n: int) -> float:
+    """The running total at checkpoint n, correctly rounded to a float.
+
+    A total beyond the float range raises OverflowError naming n.
+    """
+    try:
+        return float(total)
+    except OverflowError:
+        raise OverflowError(f"partial sum at n={n} exceeds the float range") from None

@@ -403,11 +403,6 @@ def _first_bad(ns, mask) -> int:
     return int(ns[int(np.argmax(mask))]) if np.ndim(mask) else int(ns[0])
 
 
-def _where(mask, side):
-    """mask & side, for a side that holds somewhere: a 0-d one holds everywhere."""
-    return mask if np.ndim(side) == 0 else mask & side
-
-
 def _check(bad, fault: str, node: SequenceExpr, ns) -> None:
     if np.any(bad):
         n = _first_bad(ns, bad)
@@ -440,16 +435,15 @@ def _eval(node: SequenceExpr, x, ns, lane: _Lane):
     if isinstance(node, Pow):
         base = _eval(node.base, x, ns, lane)
         expo = _eval(node.exponent, x, ns, lane)
-        # the exponent side is often a constant: one that holds nowhere skips
-        # the base's test, and one that holds everywhere leaves the base's
-        # mask alone, since a bool array & a numpy bool scalar is numpy's
-        # slow path (about 11 ms per 8 M elements, against 1 ms for two arrays)
+        # the exponent side is often a constant that holds nowhere, and a
+        # bool array & a numpy bool scalar is numpy's slow path (about 11 ms
+        # per 8 M elements, against 0.7 ms for two arrays)
         fractional = expo != lane.floor(expo)
         if np.any(fractional):
-            _check(_where(base < 0, fractional), "fractional power of a negative base", node, ns)
+            _check((base < 0) & fractional, "fractional power of a negative base", node, ns)
         negative = expo < 0
         if np.any(negative):
-            _check(_where(base == 0, negative), "zero raised to a negative power", node, ns)
+            _check((base == 0) & negative, "zero raised to a negative power", node, ns)
         return lane.power(base, expo)
     raise TypeError(f"not a sequence expression node: {node!r}")
 

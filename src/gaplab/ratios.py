@@ -34,7 +34,7 @@ from typing import Iterator
 import mpmath
 import numpy as np
 
-from .accum import exact_block_sum
+from .accum import exact_block_sum, rounded_partial_sum
 from .expr import (
     SequenceExpr,
     eval_array,
@@ -337,7 +337,7 @@ def summability_probe(
     for _n0, (piece,), cut in _split_at(blocks, checkpoints):
         acc += exact_block_sum(piece)
         if cut is not None:
-            sums.append((cut, float(acc)))
+            sums.append((cut, rounded_partial_sum(acc, cut)))
 
     dyadic_sums = [(n, s) for n, s in sums if n & (n - 1) == 0]
     increments = [

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .accum import exact_block_sum
+from .accum import exact_block_sum, rounded_partial_sum
 from .gaps import _dyadic_range, _split_at
 from .sieve import _nth_prime_bound, sieve_primes
 
@@ -68,7 +68,7 @@ def _track(limit: int, checkpoints: list[int] | None) -> list[SeriesCheckpoint]:
         acc += exact_block_sum(1.0 / piece.astype(np.float64))
         n, p_n = n0 + len(piece) - 1, int(piece[-1])
         if cut is not None:
-            out.append(_checkpoint_record(cut, p_n, float(acc)))
+            out.append(_checkpoint_record(cut, p_n, rounded_partial_sum(acc, cut)))
             if explicit and len(out) == len(checkpoints):
                 return out
 
@@ -78,7 +78,7 @@ def _track(limit: int, checkpoints: list[int] | None) -> list[SeriesCheckpoint]:
                 f"checkpoint {checkpoints[len(out)]} exceeds the prime count {n} for limit {limit}"
             )
     elif not out or out[-1].n != n:
-        out.append(_checkpoint_record(n, p_n, float(acc)))
+        out.append(_checkpoint_record(n, p_n, rounded_partial_sum(acc, n)))
     return out
 
 

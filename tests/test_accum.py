@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gaplab.accum as accum
-from gaplab.accum import exact_block_sum
+from gaplab.accum import exact_block_sum, rounded_partial_sum
 
 any_finite_floats = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60)
 
@@ -134,6 +134,9 @@ def test_overflowing_sum_raises_like_fsum():
     assert total == Fraction(big[0]) + Fraction(big[1])
     with pytest.raises(OverflowError):
         float(total)
+    with pytest.raises(OverflowError, match=r"^partial sum at n=7 exceeds the float range$"):
+        rounded_partial_sum(total, 7)
     # just inside the range: the largest double plus less than half its ulp
     total = exact_block_sum([1.7976931348623157e308, 2.0**969])
     assert head_and_tail(total) == (1.7976931348623157e308, 2.0**969)
+    assert rounded_partial_sum(total, 7) == 1.7976931348623157e308

@@ -205,7 +205,9 @@ def test_computation_errors_exit_1(capsys):
     # a partial sum beyond the float range
     code, _, err = invoke(["star", "--expr", "10^302", "--r", "2", "--n-max", "2097152"], capsys)
     assert code == 1
-    assert json.loads(err)["error"]["type"] == "OverflowError"
+    error = json.loads(err)["error"]
+    assert error["type"] == "OverflowError"
+    assert error["message"] == "partial sum at n=2097152 exceeds the float range"
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):

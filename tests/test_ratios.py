@@ -224,7 +224,7 @@ def test_probe_partial_sums_do_not_depend_on_the_chunk(monkeypatch, text):
 
 def test_probe_partial_sum_beyond_the_float_range_raises():
     # 2^20 terms of 10^302 stay below the largest double, 2^21 do not
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"partial sum at n=2097152 exceeds"):
         summability_probe(expr("10^302"), 2**21)
 
 
