@@ -29,7 +29,7 @@ from .gaps import gpy_statistics, literature_bounds
 from .ratios import check_candidate, gap_bound_report, prime_ratio_scan
 from .report import ParsedExpression, SieveSummary, export_report
 from .series import reciprocal_prime_sum
-from .sieve import _count_and_last, sieve_primes, write_dump_block
+from .sieve import sieve_primes, write_dump_block
 
 __all__ = ["RunConfig", "UsageError", "run", "main"]
 
@@ -119,14 +119,24 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+# integers below the limit that the summary sieves first for the last prime
+_SUMMARY_WINDOW = 4096
+
+
 def _sieve_artifact(config: RunConfig):
     """One pass over the primes feeds the summary, the CSV rows and the dump.
 
-    A summary with no dump only counts the segment bitmaps.
+    A summary with no dump sieves only a short window below the limit:
+    the index of its last prime is the count.
     """
     keep = config.format == "csv"
     if not (keep or config.dump):
-        count, last = _count_and_last(config.limit)
+        width, blocks = _SUMMARY_WINDOW, []
+        while not blocks:  # widen until the window holds a prime
+            blocks = list(sieve_primes(config.limit, start=max(2, config.limit - width)))
+            width *= 2
+        count = blocks[-1].start_index + len(blocks[-1]) - 1
+        last = int(blocks[-1].primes[-1])
         return SieveSummary(limit=config.limit, prime_count=count, last_prime=last)
     kept = []
     count = last = 0

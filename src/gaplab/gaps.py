@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .sieve import sieve_primes
+from .sieve import _nth_prime_floor, _prime_pi, sieve_primes
 
 __all__ = [
     "GapStats",
@@ -58,16 +58,29 @@ class GapStats:
     min_gap_tail: list[tuple[int, int]] = field(default_factory=list)
 
 
-def iter_gap_blocks(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def iter_gap_blocks(limit: int, n_lo: int = 1) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (n0, p, g) arrays: p[i] = p_(n0+i), g[i] = p_(n0+i+1) - p[i].
 
-    Covers exactly the pairs with p_next <= limit, in index order.
+    Covers, in index order, the pairs with p_next <= limit from an index
+    n0 <= n_lo on. The primes are sieved only from lo, the float lower
+    bound _nth_prime_floor(n_lo), so pairs below n_lo may be missing. The
+    first block's index is checked against n_lo, and lo steps down if
+    rounding put it above p_(n_lo), so no pair from n_lo on is skipped.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3 to contain a prime pair, got {limit}")
+    lo = _nth_prime_floor(n_lo)
+    while True:
+        blocks = sieve_primes(limit, start=lo)
+        block = next(blocks, None)
+        if block is not None and block.start_index <= n_lo:
+            break
+        if block is None and _prime_pi(lo - 1) < n_lo:
+            return  # no prime in [lo, limit], and p_(n_lo) >= lo
+        lo //= 2
+    n0 = block.start_index
     carry: int | None = None
-    n0 = 1
-    for block in sieve_primes(limit):
+    while block is not None:
         if carry is None:
             primes = block.primes
         else:
@@ -76,6 +89,7 @@ def iter_gap_blocks(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
             yield n0, primes[:-1], np.diff(primes)
             n0 += len(primes) - 1
         carry = int(primes[-1])
+        block = next(blocks, None)
 
 
 def _split_at(

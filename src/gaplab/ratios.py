@@ -43,6 +43,7 @@ from .expr import (
     parse_sequence,
 )
 from .gaps import _dyadic_range, _split_at, iter_gap_blocks
+from .sieve import _nth_prime_floor
 
 __all__ = [
     "RatioDiagnostics",
@@ -565,7 +566,10 @@ def prime_ratio_scan(
     bl_out: list[np.ndarray] = []
     n_hi = 0
 
-    for n0, (p, g), _cut in _split_at(iter_gap_blocks(limit), [n_lo - 1]):
+    # p_(n_lo) is at least its floor, so a floor above limit leaves no pair
+    # to scan and nothing is sieved
+    pairs = iter_gap_blocks(limit, n_lo) if _nth_prime_floor(n_lo) <= limit else ()
+    for n0, (p, g), _cut in _split_at(pairs, [n_lo - 1]):
         n_hi = n0 + len(p) - 1
         if n0 < n_lo:
             continue

@@ -4,26 +4,33 @@ Produces the primes in increasing order with correct 1-based global
 indices (p_1 = 2). Segments are odd-only boolean bitmaps, sieved one
 after another by one kernel:
 
+- the kernel starts at any value lo: it sieves the odd numbers of
+  [lo, limit] and nothing below them;
 - a wheel pattern over odd indices, built once per call, already has the
   multiples of 3, 5, 7, 11, 13 and 17 cleared (its period is
   3*5*7*11*13*17 = 255,255 odd indices); each segment starts as a copy of
-  its window of the pattern, and the first segment restores those six
-  primes;
+  its window of the pattern, and a segment starting at or below 17
+  restores those six primes;
 - every base prime p > 17 up to sqrt(limit) keeps the offset of its next
-  odd multiple (p^2 first), relative to the current segment, in one int64
-  array; a segment clears with one strided write per base prime whose
-  p^2 lies below its end, and the offsets are carried to the next
-  segment without recomputing a start.
+  odd multiple (the first one at or above max(p^2, lo)), relative to the
+  current segment, in one int64 array; a segment clears with one strided
+  write per base prime whose p^2 lies below its end, and the offsets are
+  carried to the next segment without recomputing a start.
 
-sieve_primes turns each bitmap into a block of primes; prime_count and
-the `gaplab sieve` summary only count the bitmaps. Every segment covers
-DEFAULT_SEGMENT_SIZE odd numbers, which no caller sets: the prime stream
-and every output are the same at any segment size, and the tests place
-segment edges by patching this constant. Carried offsets make the kernel
-sequential, so no function here needs a thread count.
+sieve_primes turns each bitmap into a block of primes. A stream that
+starts above 2 takes the global index of its first prime from pi(lo - 1),
+and pi comes from the Lucy recursion, a Legendre-sum form of
+Meissel-Lehmer that needs no sieve: prime_count answers from it alone.
+Every segment covers DEFAULT_SEGMENT_SIZE odd numbers, which no caller
+sets: the prime stream and every output are the same at any segment
+size, and the tests place segment edges by patching this constant.
+Carried offsets make the kernel sequential, so no function here needs a
+thread count.
 
 See Bays & Hudson, BIT 17 (1977), and Oliveira e Silva, Herzog & Pardi,
-Math. Comp. 83 (2014), for the segmented sieve with a pre-sieve.
+Math. Comp. 83 (2014), for the segmented sieve with a pre-sieve; and
+Lagarias, Miller & Odlyzko, Math. Comp. 44 (1985), for pi(x) by
+Legendre sums.
 """
 
 from __future__ import annotations
@@ -63,9 +70,6 @@ _WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)
 
 _TWO = np.array([2], dtype=np.int64)
 
-# odd numbers at the end of a segment searched first for its largest prime
-_TAIL = 256
-
 
 @dataclass(frozen=True)
 class PrimeBlock:
@@ -103,9 +107,9 @@ def _wheel_pattern(length: int) -> np.ndarray:
     return pattern
 
 
-def _validate_limit(limit: int) -> int:
+def _validate_limit(limit: int, name: str = "limit") -> int:
     if not isinstance(limit, (int, np.integer)):
-        raise ValueError(f"limit must be an integer, got {limit!r}")
+        raise ValueError(f"{name} must be an integer, got {limit!r}")
     limit = int(limit)
     if limit > MAX_LIMIT:
         raise CapacityError(
@@ -114,16 +118,17 @@ def _validate_limit(limit: int) -> int:
     return limit
 
 
-def _segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (low, mask) for the odd numbers in [3, limit], one segment at a time.
+def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (low, mask) for the odd numbers in [max(lo, 3), limit], one segment at a time.
 
     mask[i] is True iff low + 2i is prime. mask is a view of one buffer
     that the next segment overwrites, so a consumer reads it before
     asking for the next one.
     """
-    n_odds = (limit - 1) // 2
-    if n_odds < 1:
+    first = max(lo | 1, 3)
+    if first > limit:
         return
+    n_odds = (limit - first) // 2 + 1
 
     width = min(DEFAULT_SEGMENT_SIZE, n_odds)
     pattern = _wheel_pattern(_WHEEL_PERIOD + width)
@@ -132,12 +137,14 @@ def _segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     base = _small_sieve(math.isqrt(limit))
     p = base[base > _WHEEL_PRIMES[-1]]
     p2 = p * p
-    # odd-index offset of each base prime's next odd multiple (p^2 first),
-    # relative to the current segment's low
-    off = (p2 - 3) // 2
+    # odd-index offset of each base prime's next odd multiple, relative to
+    # the current segment's low: the first one at or above max(p^2, first)
+    # (an even multiple steps on by p)
+    m = np.maximum(p2, (first + p - 1) // p * p)
+    off = (np.where(m % 2, m, m + p) - first) // 2
 
     span = 2 * DEFAULT_SEGMENT_SIZE
-    for low in range(3, limit + 1, span):
+    for low in range(first, limit + 1, span):
         high = min(low + span, limit + 1)
         n = (high - low + 1) // 2
         w = ((low - 1) // 2) % _WHEEL_PERIOD
@@ -146,21 +153,55 @@ def _segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
         active = int(np.searchsorted(p2, high))
         for q, o in zip(p[:active].tolist(), off[:active].tolist()):
             mask[o::q] = False
-        if low == 3:
+        if low <= _WHEEL_PRIMES[-1]:
             for q in _WHEEL_PRIMES:
-                if q < high:
-                    mask[(q - 3) // 2] = True
+                if low <= q < high:
+                    mask[(q - low) // 2] = True
         yield low, mask
         off -= n
         neg = off < 0
         off[neg] %= p[neg]
 
 
-def sieve_primes(limit: int, *, threads: int = 1) -> Iterator[PrimeBlock]:
-    """Stream every prime <= limit exactly once, in blocks, in index order.
+def _prime_pi(x: int) -> int:
+    """pi(x) by the Lucy recursion, a Legendre-sum form of Meissel-Lehmer.
+
+    S(v) starts as the count of 2..v and, after the round for prime p,
+    counts the integers in 2..v that are prime or have no prime factor
+    <= p; the round subtracts S(v // p) - pi(p - 1) from every S(v) with
+    v >= p^2. Only the values v = x // i occur, and each is either at
+    most sqrt(x) or x // i with i at most sqrt(x): two int64 arrays of
+    length sqrt(x), one vectorized update per prime <= sqrt(x), and
+    O(x^(3/4)) work in all.
+    """
+    if x < 2:
+        return 0
+    r = math.isqrt(x)
+    i = np.arange(r + 1, dtype=np.int64)
+    small = i - 1  # small[v] = S(v), v <= r
+    large = x // np.maximum(i, 1) - 1  # large[i] = S(x // i), 1 <= i <= r
+    for k, p in enumerate(_small_sieve(r).tolist()):
+        # k = pi(p - 1); every right side copies the values from before this round
+        p2 = p * p
+        top = min(r, x // p2)
+        mid = min(top, r // p)
+        large[1 : mid + 1] -= large[p : mid * p + 1 : p] - k
+        large[mid + 1 : top + 1] -= small[x // (i[mid + 1 : top + 1] * p)] - k
+        if p2 <= r:
+            small[p2:] -= small[i[p2:] // p] - k
+    return int(large[1])
+
+
+def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[PrimeBlock]:
+    """Stream every prime p with start <= p <= limit exactly once, in blocks, in index order.
+
+    The first block's start_index is pi(start - 1) + 1, so indices are
+    global whatever the start. A start at or below 2 streams every prime
+    and needs no pi; a start above limit streams nothing.
 
     Args:
       limit: inclusive upper bound, >= 2.
+      start: inclusive lower bound of the window (keyword-only).
       threads: accepted and ignored (must be >= 1); segments are sieved
         one after another. Kept only for perfbench/traced.py --speedup,
         and removed together with its sieve.speedup_t2 metric.
@@ -174,13 +215,16 @@ def sieve_primes(limit: int, *, threads: int = 1) -> Iterator[PrimeBlock]:
     limit = _validate_limit(limit)
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
+    start = _validate_limit(start, "start")
+    if start > limit:
+        return
 
-    count = 0
-    for low, mask in _segments(limit):
+    count = _prime_pi(start - 1)
+    for low, mask in _segments(start, limit):
         primes = np.flatnonzero(mask)
         primes *= 2
         primes += low
-        if low == 3:
+        if low == 3 and start <= 2:
             primes = np.concatenate([_TWO, primes])
         if not len(primes):
             continue
@@ -200,40 +244,27 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
 
-def _count_and_last(limit: int) -> tuple[int, int]:
-    """(pi(limit), the largest prime <= limit); limit >= 2.
-
-    Counts each segment bitmap in place. Only the last _TAIL odd numbers
-    of a segment are searched for its largest prime, unless none of them
-    is prime; no block of primes is built.
-    """
-    limit = _validate_limit(limit)
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    count, last = 1, 2
-    for low, mask in _segments(limit):
-        c = int(np.count_nonzero(mask))
-        if c:
-            count += c
-            tail = mask[-_TAIL:]
-            pos = np.flatnonzero(tail)
-            if not len(pos):
-                tail, pos = mask, np.flatnonzero(mask)
-            last = low + 2 * (len(mask) - len(tail) + int(pos[-1]))
-    return count, last
-
-
 def prime_count(limit: int) -> int:
     """pi(limit): the number of primes <= limit. Zero for limit < 2.
 
-    Counts each segment bitmap in place; no prime is materialized.
+    Computed by the Lucy recursion; nothing is sieved beyond sqrt(limit).
     """
     limit = _validate_limit(limit)
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    if limit < 2:
-        return 0
-    return _count_and_last(limit)[0]
+    return _prime_pi(limit)
+
+
+def _nth_prime_floor(n: int) -> int:
+    """Lower bound for p_n: n (ln n + ln ln n - 1) for n >= 2 (Dusart), and never below 2.
+
+    The bound is evaluated in floats, so a caller that must not start
+    above p_n checks the index its window starts at.
+    """
+    if n < 2:
+        return 2
+    x = float(n)
+    return max(2, int(x * (math.log(x) + math.log(math.log(x)) - 1)))
 
 
 def _nth_prime_bound(n: int) -> int:
@@ -247,6 +278,9 @@ def _nth_prime_bound(n: int) -> int:
 def nth_prime(n: int) -> int:
     """The n-th prime, 1-based: nth_prime(1) = 2.
 
+    Sieves only the window between the bounds _nth_prime_floor(n) and
+    _nth_prime_bound(n), indexed by pi of its start.
+
     Raises:
       ValueError: n < 1.
       CapacityError: p_n would exceed MAX_LIMIT.
@@ -256,12 +290,17 @@ def nth_prime(n: int) -> int:
     bound = _nth_prime_bound(n)
     if bound > MAX_LIMIT:
         raise CapacityError(f"p_{n} exceeds the supported maximum value {MAX_LIMIT}")
-    seen = 0
-    for block in sieve_primes(bound):
-        if seen + len(block) >= n:
-            return int(block.primes[n - 1 - seen])
-        seen += len(block)
-    raise AssertionError(f"no p_{n} below its bound {bound}")
+    lo = _nth_prime_floor(n)
+    while True:
+        for block in sieve_primes(bound, start=lo):
+            if block.start_index > n:
+                break
+            if block.start_index + len(block) > n:
+                return int(block.primes[n - block.start_index])
+        if lo <= 2:
+            raise AssertionError(f"no p_{n} below its bound {bound}")
+        # the window starts above p_n (float rounding of the floor): widen it
+        lo //= 2
 
 
 def write_dump_block(fh: BinaryIO, block: PrimeBlock) -> None:

@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -47,6 +48,21 @@ def dense_sieve(limit: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return [i for i, f in enumerate(flags) if f]
+
+
+def bitmap_prime_count(limit: int) -> int:
+    """pi(limit) by counting gaplab's own odd-only segment bitmaps, 2 included.
+
+    Not independent of the library: it shares the sieve kernel, and it
+    cross-checks the library's pi(x), which comes from the Lucy recursion
+    and sieves nothing above sqrt(x), at sizes where the dense oracles
+    here are too slow.
+    """
+    from gaplab.sieve import _segments
+
+    if limit < 2:
+        return 0
+    return 1 + sum(int(np.count_nonzero(mask)) for _low, mask in _segments(2, limit))
 
 
 def gap_records(primes: list[int], limit: int) -> list[tuple[int, int, int, int]]:

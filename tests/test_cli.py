@@ -9,7 +9,6 @@ import pytest
 
 import gaplab
 import gaplab.cli as cli
-import gaplab.sieve as sieve
 from gaplab.cli import RunConfig, UsageError, main, run
 from gaplab.sieve import primes_upto, read_prime_dump
 
@@ -82,30 +81,32 @@ def test_sieve_dump_is_written_in_the_same_pass(tmp_path, capsys, monkeypatch, s
 
 
 @pytest.mark.parametrize("segment_size", [64, 101, 4096])
-def test_sieve_summary_counts_bitmaps(capsys, monkeypatch, segment_size, set_segment_size):
-    def no_blocks(*args, **kwargs):
-        raise AssertionError("the summary went through sieve_primes")
+def test_sieve_summary_reads_a_short_window(capsys, monkeypatch, segment_size, set_segment_size):
+    starts = []
+    sieve_primes = cli.sieve_primes
 
-    monkeypatch.setattr(cli, "sieve_primes", no_blocks)
+    def recorded(limit, **kwargs):
+        starts.append(kwargs.get("start", 2))
+        return sieve_primes(limit, **kwargs)
+
+    monkeypatch.setattr(cli, "sieve_primes", recorded)
     primes = primes_upto(2 * 10**5)
-    # final segments [low, limit] that hold no prime: low is a segment
-    # start and limit is the last number before the next prime; the widest
-    # such segments lie in the largest gaps
-    lows = np.arange(3, int(primes[-1]), 2 * segment_size)
-    nxt = primes[np.searchsorted(primes, lows)]
-    empty = np.flatnonzero(nxt > lows)
-    widest = empty[np.argsort(lows[empty] - nxt[empty], kind="stable")[:4]]
-    limits = [int(nxt[i]) - 1 for i in widest] + [2 * 10**5]
+    # a limit just below the prime that ends one of the widest gaps leaves
+    # a narrow window with no prime, so the summary must widen it
+    widest = np.argsort(-np.diff(primes), kind="stable")[:4]
+    limits = [int(primes[i + 1]) - 1 for i in widest] + [2, 3, 4, 2 * 10**5]
     set_segment_size(segment_size)
-    # a one-number tail sends most segments to the full-segment search
-    for tail in (sieve._TAIL, 1):
-        monkeypatch.setattr(sieve, "_TAIL", tail)
+    for width in (cli._SUMMARY_WINDOW, 1):
+        monkeypatch.setattr(cli, "_SUMMARY_WINDOW", width)
         for limit in limits:
+            starts.clear()
             code, out, _ = invoke(["sieve", "--limit", str(limit)], capsys)
             below = primes[primes <= limit]
             doc = json.loads(out)
             assert code == 0
             assert (doc["prime_count"], doc["last_prime"]) == (len(below), int(below[-1])), limit
+            # no window is wider than twice the stretch above the last prime
+            assert limit - min(starts) <= max(width, 2 * (limit - int(below[-1]))), limit
 
 
 def test_scan_csv_twin_rows(tmp_path, capsys, oracle_primes_1m):

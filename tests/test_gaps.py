@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gaplab.gaps as gaps
 from gaplab.gaps import (
     _split_at,
     gpy_statistics,
@@ -14,11 +15,11 @@ from gaplab.gaps import (
 from oracles import count_gaps, gap_records
 
 
-def _block_records(limit):
+def _block_records(limit, n_lo=1):
     """(n, p_n, p_next, g_n) for every pair, flattened from the blocks."""
     return [
         (n0 + i, p, p + g, g)
-        for n0, ps, gs in iter_gap_blocks(limit)
+        for n0, ps, gs in iter_gap_blocks(limit, n_lo)
         for i, (p, g) in enumerate(zip(ps.tolist(), gs.tolist()))
     ]
 
@@ -40,6 +41,29 @@ def test_iter_gap_blocks_count_at_1e6(set_segment_size):
     assert sum(len(g) for _n0, _p, g in blocks) == 78497  # pi(10^6) - 1
     starts = [n0 for n0, _p, _g in blocks]
     assert starts == [1] + [n0 + len(g) for n0, _p, g in blocks[:-1]]
+
+
+def test_gap_window_starts_at_or_below_n_lo(monkeypatch, oracle_primes_1m, set_segment_size):
+    set_segment_size(64)
+    limit = 2 * 10**4  # 19,999 = 7 * 2857 and 20,000 are not prime
+    records = gap_records(oracle_primes_1m, limit)
+    n_los = [1, 2, 3, 10, 100, 1000, 2000, len(records)]
+
+    def check():
+        for n_lo in n_los:
+            window = _block_records(limit, n_lo)
+            assert window[0][0] <= n_lo
+            assert window == records[window[0][0] - 1 :], n_lo
+
+    check()
+    # a floor a few primes above p_(n_lo), as float rounding could give;
+    # then one whose window [floor, limit] holds no prime
+    monkeypatch.setattr(gaps, "_nth_prime_floor", lambda n: oracle_primes_1m[n + 2])
+    check()
+    monkeypatch.setattr(gaps, "_nth_prime_floor", lambda n: limit - 1)
+    check()
+    # p_(n_lo) lies above limit and the window holds no prime: no pair at all
+    assert list(iter_gap_blocks(limit, len(records) + 2)) == []
 
 
 def test_iter_gap_blocks_requires_a_pair():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaplab.gaps as gaps
 import gaplab.ratios as ratios
 from gaplab.errors import PositivityError
 from gaplab.expr import eval_array, parse_sequence
@@ -337,17 +338,30 @@ def test_scan_start_at_segment_edges(oracle_primes_1m, set_segment_size):
     set_segment_size(64)
     limit = 2 * 10**4
     full = prime_ratio_scan(2.0, 0.0, limit, 2)
-    starts = [n0 for n0, _p, _g in iter_gap_blocks(limit)][1:11]
-    for n_lo in sorted({s + d for s in starts for d in (-1, 0, 1)}):
+    oracle = brute_force_scan(oracle_primes_1m, 2.0, 0.0, limit)
+    starts = [n0 for n0, _p, _g in iter_gap_blocks(limit)]
+    # the first blocks, then starts far enough out that the scan's sieve
+    # starts well above 3, up to the last pair
+    picked = starts[1:11] + starts[11::20] + [full.n_hi]
+    for n_lo in sorted({s + d for s in picked for d in (-1, 0, 1)} - {full.n_hi + 1}):
         scan = prime_ratio_scan(2.0, 0.0, limit, n_lo)
         keep = full.hits_n >= n_lo
         for name in ("hits_n", "hits_gap", "hits_threshold", "hits_borderline"):
             assert np.array_equal(getattr(scan, name), getattr(full, name)[keep]), (n_lo, name)
         assert (scan.n_lo, scan.n_hi) == (n_lo, full.n_hi)
-        oracle = brute_force_scan(oracle_primes_1m, 2.0, 0.0, limit, n_lo)
-        assert [(n, g) for n, _p, _q, g in oracle] == list(
+        assert [(n, g) for n, _p, _q, g in oracle if n >= n_lo] == list(
             zip(scan.hits_n.tolist(), scan.hits_gap.tolist())
         ), n_lo
+
+
+def test_unreachable_n_lo_fails_before_sieving(monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the scan sieved")
+
+    monkeypatch.setattr(gaps, "sieve_primes", no_sieve)
+    for scan in (prime_ratio_scan, gap_bound_report):
+        with pytest.raises(ValueError, match="too small to contain the prime pair at index"):
+            scan(2.0, 0.0, 10**9, 10**9)
 
 
 def test_scan_thresholds_bound_the_gaps():

@@ -21,7 +21,7 @@ from gaplab.sieve import (
     write_dump_block,
 )
 
-from oracles import dense_sieve, is_prime_trial_division, trial_division_primes
+from oracles import bitmap_prime_count, dense_sieve, is_prime_trial_division, trial_division_primes
 
 
 def test_first_primes_with_indices():
@@ -172,6 +172,100 @@ def test_prime_count_counts_bitmaps_without_materializing(monkeypatch, set_segme
     assert prime_count(10**8) == 5_761_455
     set_segment_size(64)
     assert prime_count(2_000_003) == 148_934  # dense-sieve oracle
+
+
+@pytest.fixture(scope="module")
+def oracle_4m() -> np.ndarray:
+    return np.array(dense_sieve(1 << 22), dtype=np.int64)
+
+
+def _pi_oracle(oracle: np.ndarray, x: int) -> int:
+    return int(np.searchsorted(oracle, x, side="right"))
+
+
+def test_prime_pi_matches_dense_sieve(oracle_4m):
+    rng = np.random.default_rng(13)
+    squares = [int(q) * int(q) for q in oracle_4m[oracle_4m <= 1 << 11]]
+    xs = (
+        list(range(21))
+        + [1 << k for k in range(23)]
+        + [s + d for s in squares for d in (-1, 0, 1)]
+        + rng.integers(0, 3 * 10**6, 200).tolist()
+    )
+    for x in xs:
+        assert sieve._prime_pi(x) == _pi_oracle(oracle_4m, x), x
+
+
+def test_prime_pi_at_published_values():
+    # OEIS A006880
+    assert sieve._prime_pi(10**9) == 50_847_534
+    assert sieve._prime_pi(10**10) == 455_052_511
+
+
+def test_prime_pi_agrees_with_bitmap_count():
+    rng = np.random.default_rng(7)
+    for x in [10**8] + rng.integers(10**6, 3 * 10**7, 4).tolist():
+        assert prime_count(x) == bitmap_prime_count(x), x
+
+
+# window starts: the wheel primes and the first base prime; even starts and
+# primes; 19^2, 23^2 and 709^2 = 502,681, the last prime square below the
+# wheel's period of 510,510 integers, with their neighbours; starts across
+# that period's edge
+_WINDOW_STARTS = (
+    [2, 3, 4, 5, 16, 17, 18, 19, 20, 21, 1021, 1024, 7919]
+    + [s + d for s in (361, 529, 502_681) for d in (-2, -1, 0, 1, 2)]
+    + [510_511 + d for d in (-4000, -2, -1, 0, 1, 2)]
+)
+
+
+@pytest.mark.parametrize("segment_size", [64, 101, 4099])
+def test_window_blocks_match_full_stream(segment_size, oracle_4m, set_segment_size):
+    set_segment_size(segment_size)
+    span = 2 * segment_size
+    edges = [3 + k * span + d for k in (1, 2, 40) for d in (-2, -1, 0, 1, 2)]
+    for lo in _WINDOW_STARTS + edges:
+        limit = lo + 6000
+        blocks = list(sieve_primes(limit, start=lo))
+        expected = oracle_4m[(oracle_4m >= lo) & (oracle_4m <= limit)]
+        assert np.array_equal(np.concatenate([b.primes for b in blocks]), expected), lo
+        index = int(np.searchsorted(oracle_4m, lo)) + 1
+        for block in blocks:
+            assert block.start_index == index, lo
+            assert not block.primes.flags.writeable
+            index += len(block)
+
+
+def test_window_edge_cases():
+    assert list(sieve_primes(100, start=101)) == []
+    assert list(sieve_primes(100, start=98)) == []
+    [block] = sieve_primes(2, start=2)
+    assert (block.start_index, block.primes.tolist()) == (1, [2])
+    [block] = sieve_primes(3, start=3)
+    assert (block.start_index, block.primes.tolist()) == (2, [3])
+    with pytest.raises(ValueError, match="start must be an integer"):
+        list(sieve_primes(100, start=2.5))
+
+
+def test_nth_prime_floor_is_below_every_prime(oracle_primes_1m):
+    floors = [sieve._nth_prime_floor(n) for n in range(1, len(oracle_primes_1m) + 1)]
+    assert (np.array(floors) <= np.array(oracle_primes_1m)).all()
+    for k in range(17, 27):
+        n = 1 << k
+        p = nth_prime(n)
+        assert prime_count(p) == n and prime_count(p - 1) == n - 1
+        assert sieve._nth_prime_floor(n) <= p
+
+
+def test_nth_prime_widens_a_floor_above_p_n(monkeypatch, oracle_primes_1m):
+    # floors past p_n, as float rounding could give, then a floor at the
+    # upper bound, whose window holds no prime at all
+    for shift in (1, 30):
+        monkeypatch.setattr(sieve, "_nth_prime_floor", lambda n: oracle_primes_1m[n - 1 + shift])
+        for n in (1, 2, 10, 1000, 17_984):
+            assert nth_prime(n) == oracle_primes_1m[n - 1], (shift, n)
+    monkeypatch.setattr(sieve, "_nth_prime_floor", lambda n: sieve._nth_prime_bound(n))
+    assert nth_prime(1000) == 7919
 
 
 def test_threads_is_validated_and_ignored():
