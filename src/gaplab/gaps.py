@@ -12,6 +12,18 @@ and the next piece starts at c + 1), and _dyadic_range is the one
 powers-of-two checkpoint schedule. The gap statistics, the ratio scan
 and the series trackers all cut their streams with these.
 
+The normalized minima are evaluated only where they can fall. Both
+normalizers, ln p and sqrt(ln p) (ln ln p)^2, strictly increase with p
+for p >= 3. Let m be a piece's smallest gap and p_last the prime of its
+last pair with gap m: every earlier pair has g >= m and a smaller
+normalizer, so its normalized gap exceeds m's at p_last. The float
+expressions run only on the suffix of the piece from
+p_last - p_last // 10^6 on. Every pair before it has ln p smaller by at
+least about 10^-6/ln p relative, still over 2e-8 at MAX_LIMIT = 2^62,
+and the second normalizer moves by at least as much there (its relative
+change is 1/2 + 2/ln ln p >= 1 times that of ln p). That is far above
+float64 error, so the minima are bit-identical to evaluating every pair.
+
 Tail minima are finite-range proxies: a liminf statement concerns the
 infinite tail, so a scan to any limit yields evidence, never proof. All
 exports label them accordingly.
@@ -66,6 +78,10 @@ def iter_gap_blocks(limit: int, n_lo: int = 1) -> Iterator[tuple[int, np.ndarray
     bound _nth_prime_floor(n_lo), so pairs below n_lo may be missing. The
     first block's index is checked against n_lo, and lo steps down if
     rounding put it above p_(n_lo), so no pair from n_lo on is skipped.
+
+    p is the sieve block's own read-only array (without its last prime in
+    the final block), so nothing is copied; only g is built, and a block's
+    closing gap comes from the next block's first prime.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3 to contain a prime pair, got {limit}")
@@ -79,17 +95,16 @@ def iter_gap_blocks(limit: int, n_lo: int = 1) -> Iterator[tuple[int, np.ndarray
             return  # no prime in [lo, limit], and p_(n_lo) >= lo
         lo //= 2
     n0 = block.start_index
-    carry: int | None = None
-    while block is not None:
-        if carry is None:
-            primes = block.primes
-        else:
-            primes = np.concatenate([np.array([carry], dtype=np.int64), block.primes])
-        if len(primes) >= 2:
-            yield n0, primes[:-1], np.diff(primes)
-            n0 += len(primes) - 1
-        carry = int(primes[-1])
-        block = next(blocks, None)
+    for after in blocks:
+        p = block.primes
+        g = np.empty(len(p), dtype=np.int64)
+        np.subtract(p[1:], p[:-1], out=g[:-1])
+        g[-1] = after.primes[0] - p[-1]
+        yield n0, p, g
+        n0 += len(p)
+        block = after
+    if len(block) >= 2:
+        yield n0, block.primes[:-1], np.diff(block.primes)
 
 
 def _split_at(
@@ -142,12 +157,39 @@ def polignac_count(k: int, limit: int) -> int:
     return sum(int(np.count_nonzero(g == k)) for _n0, _p, g in blocks)
 
 
+def _suffix_window(p: np.ndarray, g: np.ndarray) -> tuple[int, int]:
+    """(m, j): the piece's smallest gap m and the start j of the window
+    p[j:], g[j:] that holds both normalized minima of the piece.
+
+    p_last is the prime at the last index of m, and j the first index
+    with p >= p_last - p_last // 10^6 (module docstring).
+    """
+    last = len(g) - 1 - int(np.argmin(g[::-1]))
+    p_last = int(p[last])
+    return int(g[last]), int(np.searchsorted(p, p_last - p_last // 10**6))
+
+
+def _normalized_minima(p: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """min g/ln p and min g/(sqrt(ln p) (ln ln p)^2) over the pairs, in float64."""
+    logs = np.log(p.astype(np.float64))
+    gm = g.astype(np.float64)
+    return (
+        float(np.min(gm / logs)),
+        float(np.min(gm / (np.sqrt(logs) * np.log(logs) ** 2))),
+    )
+
+
 def gpy_statistics(limit: int) -> GapStats:
     """One-pass gap statistics over all pairs with p_next <= limit.
 
     Constant memory per distinct gap value; minima are accumulated in
     index order so repeated runs are bit-identical regardless of the
-    upstream segmentation.
+    upstream segmentation. Both normalizers strictly increase with p for
+    p >= 3, so each piece evaluates the float expressions only on its
+    _suffix_window: the pairs from p_last - p_last // 10^6 on, where
+    p_last carries the piece's last smallest gap. The 10^-6 widening keeps
+    every skipped pair's normalized gap above the window's minimum by far
+    more than float64 error, up to MAX_LIMIT.
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5 so that an n >= 2 pair exists, got {limit}")
@@ -169,14 +211,11 @@ def gpy_statistics(limit: int) -> GapStats:
         if n0 == 1:
             # the minima start at n = 2; this piece is the lone pair (2, 3)
             continue
-        logs = np.log(p.astype(np.float64))
-        gm = g.astype(np.float64)
-        gpy_min = min(gpy_min, float(np.min(gm / logs)))
-        gpy_sqrt_min = min(
-            gpy_sqrt_min, float(np.min(gm / (np.sqrt(logs) * np.log(logs) ** 2)))
-        )
+        m, j = _suffix_window(p, g)
+        piece_min, piece_sqrt_min = _normalized_minima(p[j:], g[j:])
+        gpy_min = min(gpy_min, piece_min)
+        gpy_sqrt_min = min(gpy_sqrt_min, piece_sqrt_min)
         cp = 1 << (n0.bit_length() - 1)
-        m = int(g.min())
         interval_min[cp] = min(interval_min.get(cp, m), m)
 
     # suffix minima turn per-interval minima into from-checkpoint-onward minima

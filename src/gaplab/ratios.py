@@ -532,6 +532,19 @@ def _recheck_mp(n: int, p: int, g: int, r: float, epsilon: float) -> tuple[bool,
         return bool(margin > 0), bool(0 < margin < BORDERLINE_REL)
 
 
+def _gap_cap(n0: int, strength: float) -> float:
+    """A gap above this is neither a hit nor rechecked at any index n >= n0 >= 16.
+
+    Rosser's p_n < n (ln n + ln ln n) for n >= 6 gives
+    thr < strength (1 + ln ln n / ln n), a factor that falls for n > e^e,
+    so its value at n0 holds for every n >= n0 >= 16. The 10^-6 widening
+    exceeds the float error of the cap and of thr by far and puts every
+    gap above the cap below thr by more than RECHECK_BAND * thr.
+    """
+    x = math.log(n0)
+    return strength * (1 + math.log(x) / x) * (1 + 1e-6)
+
+
 def prime_ratio_scan(
     r: float,
     epsilon: float = 0.0,
@@ -553,6 +566,14 @@ def prime_ratio_scan(
     (0 < margin < BORDERLINE_REL) the float error could flip; every other
     pair is classified as exact arithmetic would classify it. The hit set
     is monotone in r and epsilon by construction.
+
+    A piece whose first index n0 is at least 16 keeps only the pairs with
+    g_n <= _gap_cap(n0, r + epsilon) and computes thr, the margin and the
+    recheck test on those alone. The cap rests on Rosser's bound
+    p_n < n (ln n + ln ln n), which gives thr < (r + epsilon)(1 + ln ln n / ln n),
+    and on that factor falling for n > e^e ~ 15.15: below n = 16 its value
+    at n0 does not bound the rest of the piece, so such a piece takes the
+    full path.
     """
     _check_strength(r, epsilon)
     if n_lo < 2:
@@ -573,7 +594,12 @@ def prime_ratio_scan(
         n_hi = n0 + len(p) - 1
         if n0 < n_lo:
             continue
-        ns = n0 + np.arange(len(p), dtype=np.int64)
+        if n0 >= 16:
+            keep = np.flatnonzero(g <= _gap_cap(n0, strength))
+            ns = n0 + keep
+            p, g = p[keep], g[keep]
+        else:
+            ns = n0 + np.arange(len(p), dtype=np.int64)
         nf = ns.astype(np.float64)
         pf = p.astype(np.float64)
         thr = pf * (strength / (nf * np.log(nf)))

@@ -5,7 +5,9 @@ import pytest
 
 import gaplab.gaps as gaps
 from gaplab.gaps import (
+    _normalized_minima,
     _split_at,
+    _suffix_window,
     gpy_statistics,
     iter_gap_blocks,
     literature_bounds,
@@ -41,6 +43,16 @@ def test_iter_gap_blocks_count_at_1e6(set_segment_size):
     assert sum(len(g) for _n0, _p, g in blocks) == 78497  # pi(10^6) - 1
     starts = [n0 for n0, _p, _g in blocks]
     assert starts == [1] + [n0 + len(g) for n0, _p, g in blocks[:-1]]
+
+
+@pytest.mark.parametrize("segment_size", [1, 2, 3])
+def test_iter_gap_blocks_with_one_prime_per_block(oracle_primes_1m, set_segment_size, segment_size):
+    # blocks of one or two primes: each closing gap comes from the next block
+    set_segment_size(segment_size)
+    for limit in (3, 4, 5, 7, 8, 3000, 3001):
+        assert _block_records(limit) == gap_records(oracle_primes_1m, limit), limit
+    for _n0, p, _g in iter_gap_blocks(3000):
+        assert not p.flags.writeable
 
 
 def test_gap_window_starts_at_or_below_n_lo(monkeypatch, oracle_primes_1m, set_segment_size):
@@ -147,9 +159,97 @@ def test_gpy_minimum_small_case():
 def test_gpy_minimum_tracks_largest_twin(oracle_primes_1m):
     stats = gpy_statistics(10**6)
     twins = [p for (n, p, q, g) in gap_records(oracle_primes_1m, 10**6) if g == 2 and n >= 2]
-    assert math.isclose(stats.gpy_min, 2 / math.log(twins[-1]), rel_tol=1e-12)
     assert twins[-1] == 999959
+    assert stats.gpy_min == 2 / np.log(np.float64(999959))
     assert stats.gpy_min > 0  # the zero liminf is asymptotic, never attained
+
+
+def _piece(start, gaps):
+    """A synthetic piece: p from start on with the given gaps, as int64 arrays."""
+    g = np.array(gaps, dtype=np.int64)
+    p = start + np.concatenate([[0], np.cumsum(g[:-1])]).astype(np.int64)
+    return p, g
+
+
+def _windowed(p, g):
+    m, j = _suffix_window(p, g)
+    assert m == g.min()
+    return _normalized_minima(p[j:], g[j:])
+
+
+_RNG_PIECES = [
+    # near 2^62, where neighbouring primes share a float64 value and a log
+    (2**62 - 10**7 + 1, "random"),
+    (2**62 - 10**7 + 1, "twins"),
+    (10**12 + 1, "random"),
+    (3, "random"),
+    (3, "twins"),
+]
+
+
+@pytest.mark.parametrize("start,kind", _RNG_PIECES)
+def test_suffix_window_minima_equal_the_unfiltered_ones(start, kind):
+    rng = np.random.default_rng(start % 1000)
+    for size in (1, 2, 3, 10, 1000, 20000):
+        if kind == "twins":
+            # long runs of equal smallest gaps, the last one at the last pair
+            gaps = np.where(rng.random(size) < 0.5, 2, 2 * rng.integers(2, 40, size))
+            gaps[-1] = 2
+        else:
+            gaps = 2 * rng.integers(1, 60, size)
+        p, g = _piece(start, gaps)
+        assert _windowed(p, g) == _normalized_minima(p, g), size
+
+
+def test_window_at_2_62_sees_float_ties():
+    # every p here rounds to one of a few float64 values: the logs tie, and
+    # the minimum is decided by the gap alone
+    p, g = _piece(2**62 - 4095, [6, 4, 2, 4, 2, 6, 2, 8] * 64)
+    assert len(np.unique(p.astype(np.float64))) <= 8 < len(p)
+    assert _windowed(p, g) == _normalized_minima(p, g)
+    assert _suffix_window(p, g) == (2, 0)
+
+
+@pytest.mark.parametrize("gaps", [
+    [2],  # a length-1 piece
+    [4],
+    [2, 4, 6],  # from p = 3, where ln ln p is smallest
+    [6, 4, 2],  # the smallest gap at the piece's last pair
+    [2, 2, 2, 2],
+    [4, 2, 2, 4, 2, 2, 6],
+])
+def test_window_on_small_pieces_from_3(gaps):
+    p, g = _piece(3, gaps)
+    assert _windowed(p, g) == _normalized_minima(p, g)
+
+
+def test_window_starts_a_millionth_below_the_last_smallest_gap():
+    # smallest gap 2 at the first pair and at pair 50,001, 5e6 apart: the
+    # window holds the pairs up to p_last // 10^6 = 1,000,005 below the last
+    # one; below p = 10^6 there is no widening, and it starts at that pair
+    gaps = [2] + [100] * 50_000 + [2] + [100] * 5
+    p, g = _piece(10**12 + 1, gaps)
+    last = 50_001
+    p_last = int(p[last])
+    assert _suffix_window(p, g) == (2, last - 10_000)
+    assert p[last - 10_000] >= p_last - p_last // 10**6 > p[last - 10_001]
+    assert _windowed(p, g) == _normalized_minima(p, g)
+    p, g = _piece(3, [2, 4, 6, 2, 6, 4])
+    assert _suffix_window(p, g) == (2, 3)
+
+
+def _unfiltered(p, g):
+    return int(g.min()), 0
+
+
+@pytest.mark.parametrize("segment_size", [64, 101, 4099])
+def test_gpy_statistics_equal_the_unfiltered_minima(monkeypatch, set_segment_size, segment_size):
+    set_segment_size(segment_size)
+    limits = list(range(5, 201)) + [10**6]
+    windowed = [gpy_statistics(limit) for limit in limits]
+    monkeypatch.setattr(gaps, "_suffix_window", _unfiltered)
+    for limit, stats in zip(limits, windowed):
+        assert stats == gpy_statistics(limit), limit
 
 
 def test_gpy_sqrt_normalization(oracle_primes_1m):

@@ -354,6 +354,102 @@ def test_scan_start_at_segment_edges(oracle_primes_1m, set_segment_size):
         ), n_lo
 
 
+def _scan_rows(report):
+    """Everything a scan reports, with the hit columns as lists."""
+    columns = [
+        getattr(report, name).tolist()
+        for name in ("hits_n", "hits_p", "hits_gap", "hits_threshold", "hits_borderline")
+    ]
+    return (
+        report.n_lo, report.n_hi, report.hit_count, columns,
+        report.min_gap_among_hits, report.max_threshold_among_hits, report.tail_min_gap,
+    )
+
+
+def _filtered_and_unfiltered(monkeypatch, scans):
+    """Each (r, epsilon, limit, n_lo) scanned with the Rosser prefilter, then without it."""
+    filtered = [_scan_rows(prime_ratio_scan(*args)) for args in scans]
+    with monkeypatch.context() as m:
+        m.setattr(ratios, "_gap_cap", lambda n0, strength: math.inf)
+        unfiltered = [_scan_rows(prime_ratio_scan(*args)) for args in scans]
+    return filtered, unfiltered
+
+
+@pytest.mark.parametrize("segment_size", [None, 101])
+def test_prefilter_keeps_every_hit_threshold_and_flag(monkeypatch, set_segment_size, segment_size):
+    if segment_size is not None:
+        set_segment_size(segment_size)
+    # at r = 50 the cap sits above most gaps and the filter keeps most pairs;
+    # n_lo = 15 takes the full path, 16 and 17 the filtered one from their
+    # first pair on
+    scans = [
+        (r, eps, limit, n_lo)
+        for r in (0.5, 2.0, 7.0, 50.0)
+        for eps in (0.0, 0.25)
+        for limit in (10**3, 2 * 10**4)
+        for n_lo in (2, 15, 16, 17, 150)
+    ]
+    filtered, unfiltered = _filtered_and_unfiltered(monkeypatch, scans)
+    for args, a, b in zip(scans, filtered, unfiltered):
+        assert a == b, args
+    assert any(a[2] > 0.9 * (a[1] - a[0] + 1) for a in filtered)  # r = 50
+
+
+def test_prefilter_cap_is_taken_at_the_first_index(monkeypatch):
+    # from n_lo = 16 the first sieve block runs to n = 78,497 at 10^6; there
+    # the factor 1 + ln ln n / ln n is 1.2149, below thr/(r + eps) = 1.2250
+    # at the twin pair n = 17, so at r = 1.64 a cap taken at the piece's last
+    # index would drop the hit n = 17
+    scans = [(r, 0.0, 10**6, n_lo) for r in (1.6, 1.62, 1.64, 1.66) for n_lo in (16, 17)]
+    filtered, unfiltered = _filtered_and_unfiltered(monkeypatch, scans)
+    assert filtered == unfiltered
+    hits_n = {args[0]: row[3][0] for args, row in zip(scans, filtered) if args[3] == 16}
+    assert 17 not in hits_n[1.62] and 17 in hits_n[1.64]
+
+
+def test_prefilter_with_a_gap_at_the_cap(monkeypatch, oracle_primes_1m):
+    # epsilon puts a gap g of the piece from n0 = 1000 within 1e-12 relative
+    # of the cap, on either side and at the closest floats
+    n0, r, g = 1000, 4.0, 6
+    strength = g / ratios._gap_cap(n0, 1.0)
+    strengths = [strength * (1 + k * 1e-13) for k in range(-9, 10, 3)]
+    up = down = strength
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        strengths += [float(up), float(down)]
+    caps = [ratios._gap_cap(n0, s) for s in strengths]
+    assert any(c < g for c in caps) and any(c >= g for c in caps)
+    assert all(abs(c - g) < 1e-12 * g for c in caps)
+    gaps_in_piece = {q - p for p, q in zip(oracle_primes_1m[n0 - 1 : 2000], oracle_primes_1m[n0:])}
+    assert g in gaps_in_piece
+    scans = [(r, s - r, 2 * 10**4, n0) for s in strengths]
+    filtered, unfiltered = _filtered_and_unfiltered(monkeypatch, scans)
+    assert filtered == unfiltered
+    assert all(row[2] > 0 for row in filtered)
+
+
+def test_prefilter_with_n_lo_at_segment_edges(monkeypatch, set_segment_size):
+    set_segment_size(64)
+    limit = 2 * 10**4
+    starts = [n0 for n0, _p, _g in iter_gap_blocks(limit)]
+    n_los = sorted({s + d for s in starts[1:8] + starts[8::25] for d in (-1, 0, 1)})
+    scans = [(r, 0.0, limit, n_lo) for r in (2.0, 7.0) for n_lo in n_los]
+    filtered, unfiltered = _filtered_and_unfiltered(monkeypatch, scans)
+    for args, a, b in zip(scans, filtered, unfiltered):
+        assert a == b, args
+
+
+def test_gap_cap_bounds_every_later_threshold(oracle_primes_1m):
+    # thr/(r + eps) = p_n/(n ln n): its maximum over n >= n0 stays below
+    # the cap's factor at n0, for every n0 from 16 on
+    p = np.array(oracle_primes_1m, dtype=np.float64)
+    n = np.arange(1, len(p) + 1, dtype=np.float64)
+    ratio = p[15:] / (n[15:] * np.log(n[15:]))
+    later_max = np.maximum.accumulate(ratio[::-1])[::-1]
+    caps = np.array([ratios._gap_cap(n0, 1.0) for n0 in range(16, len(p) + 1)])
+    assert (later_max * (1 + 1e-6) < caps).all()
+
+
 def test_unreachable_n_lo_fails_before_sieving(monkeypatch):
     def no_sieve(*args, **kwargs):
         raise AssertionError("the scan sieved")
