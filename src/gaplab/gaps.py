@@ -184,12 +184,8 @@ def gpy_statistics(limit: int) -> GapStats:
 
     Constant memory per distinct gap value; minima are accumulated in
     index order so repeated runs are bit-identical regardless of the
-    upstream segmentation. Both normalizers strictly increase with p for
-    p >= 3, so each piece evaluates the float expressions only on its
-    _suffix_window: the pairs from p_last - p_last // 10^6 on, where
-    p_last carries the piece's last smallest gap. The 10^-6 widening keeps
-    every skipped pair's normalized gap above the window's minimum by far
-    more than float64 error, up to MAX_LIMIT.
+    upstream segmentation. The normalized minima are evaluated on each
+    piece's _suffix_window only (module docstring).
     """
     if limit < 5:
         raise ValueError(f"limit must be >= 5 so that an n >= 2 pair exists, got {limit}")

@@ -533,14 +533,17 @@ def _recheck_mp(n: int, p: int, g: int, r: float, epsilon: float) -> tuple[bool,
 
 
 def _gap_cap(n0: int, strength: float) -> float:
-    """A gap above this is neither a hit nor rechecked at any index n >= n0 >= 16.
+    """A gap above this is neither a hit nor rechecked at any index n >= n0.
 
     Rosser's p_n < n (ln n + ln ln n) for n >= 6 gives
     thr < strength (1 + ln ln n / ln n), a factor that falls for n > e^e,
-    so its value at n0 holds for every n >= n0 >= 16. The 10^-6 widening
-    exceeds the float error of the cap and of thr by far and puts every
-    gap above the cap below thr by more than RECHECK_BAND * thr.
+    so its value at n0 holds for every n >= n0 >= 16. Below n0 = 16 the
+    value at n0 does not bound the rest of the piece, and the cap is inf.
+    The 10^-6 widening exceeds the float error of the cap and of thr by far
+    and puts every gap above the cap below thr by more than RECHECK_BAND * thr.
     """
+    if n0 < 16:
+        return math.inf
     x = math.log(n0)
     return strength * (1 + math.log(x) / x) * (1 + 1e-6)
 
@@ -567,13 +570,13 @@ def prime_ratio_scan(
     pair is classified as exact arithmetic would classify it. The hit set
     is monotone in r and epsilon by construction.
 
-    A piece whose first index n0 is at least 16 keeps only the pairs with
-    g_n <= _gap_cap(n0, r + epsilon) and computes thr, the margin and the
-    recheck test on those alone. The cap rests on Rosser's bound
+    Each piece keeps only the pairs with g_n <= _gap_cap(n0, r + epsilon),
+    n0 its first index, and computes thr, the margin and the recheck test
+    on those alone. The cap rests on Rosser's bound
     p_n < n (ln n + ln ln n), which gives thr < (r + epsilon)(1 + ln ln n / ln n),
-    and on that factor falling for n > e^e ~ 15.15: below n = 16 its value
-    at n0 does not bound the rest of the piece, so such a piece takes the
-    full path.
+    and on that factor falling for n > e^e ~ 15.15: below n0 = 16 its value
+    at n0 does not bound the rest of the piece, so the cap there is inf
+    and the piece keeps every pair.
     """
     _check_strength(r, epsilon)
     if n_lo < 2:
@@ -594,12 +597,9 @@ def prime_ratio_scan(
         n_hi = n0 + len(p) - 1
         if n0 < n_lo:
             continue
-        if n0 >= 16:
-            keep = np.flatnonzero(g <= _gap_cap(n0, strength))
-            ns = n0 + keep
-            p, g = p[keep], g[keep]
-        else:
-            ns = n0 + np.arange(len(p), dtype=np.int64)
+        keep = np.flatnonzero(g <= _gap_cap(n0, strength))
+        ns = n0 + keep
+        p, g = p[keep], g[keep]
         nf = ns.astype(np.float64)
         pf = p.astype(np.float64)
         thr = pf * (strength / (nf * np.log(nf)))

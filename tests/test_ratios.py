@@ -380,8 +380,8 @@ def test_prefilter_keeps_every_hit_threshold_and_flag(monkeypatch, set_segment_s
     if segment_size is not None:
         set_segment_size(segment_size)
     # at r = 50 the cap sits above most gaps and the filter keeps most pairs;
-    # n_lo = 15 takes the full path, 16 and 17 the filtered one from their
-    # first pair on
+    # from n_lo = 15 the first piece keeps every pair (its cap is inf), from
+    # 16 and 17 it is filtered from its first pair on
     scans = [
         (r, eps, limit, n_lo)
         for r in (0.5, 2.0, 7.0, 50.0)
@@ -448,6 +448,8 @@ def test_gap_cap_bounds_every_later_threshold(oracle_primes_1m):
     later_max = np.maximum.accumulate(ratio[::-1])[::-1]
     caps = np.array([ratios._gap_cap(n0, 1.0) for n0 in range(16, len(p) + 1)])
     assert (later_max * (1 + 1e-6) < caps).all()
+    # below n0 = 16 the factor at n0 bounds nothing, and no pair is dropped
+    assert all(ratios._gap_cap(n0, 1.0) == math.inf for n0 in range(1, 16))
 
 
 def test_unreachable_n_lo_fails_before_sieving(monkeypatch):
