@@ -461,11 +461,6 @@ def check_candidate(
 # ---------------------------------------------------------------------------
 # prime-ratio scan
 
-# ScanReport.iter_hit_chunks (and the index,prime CSV writer) converts this
-# many rows to Python values at a time, so an export holds the Python rows
-# of one chunk, never all of them
-_HIT_ROWS = 1 << 14
-
 
 @dataclass
 class ScanReport:
@@ -498,25 +493,17 @@ class ScanReport:
     def borderline_count(self) -> int:
         return int(np.count_nonzero(self.hits_borderline))
 
-    def iter_hit_chunks(self) -> Iterator[tuple[list, list, list, list, list, list]]:
-        """The hit columns (n, p_n, p_next, g_n, threshold, borderline) as
-        Python lists, _HIT_ROWS rows at a time, in index order."""
-        for lo in range(0, len(self.hits_n), _HIT_ROWS):
-            rows = slice(lo, lo + _HIT_ROWS)
-            p, g = self.hits_p[rows], self.hits_gap[rows]
-            yield (
-                self.hits_n[rows].tolist(),
-                p.tolist(),
-                (p + g).tolist(),
-                g.tolist(),
-                self.hits_threshold[rows].tolist(),
-                self.hits_borderline[rows].tolist(),
-            )
-
     def iter_hits(self) -> Iterator[tuple[int, int, int, int, float, bool]]:
         """Hit rows (n, p_n, p_next, g_n, threshold, borderline) in index order."""
-        for cols in self.iter_hit_chunks():
-            yield from zip(*cols)
+        p, g = self.hits_p, self.hits_gap
+        return zip(
+            self.hits_n.tolist(),
+            p.tolist(),
+            (p + g).tolist(),
+            g.tolist(),
+            self.hits_threshold.tolist(),
+            self.hits_borderline.tolist(),
+        )
 
 
 def _recheck_mp(n: int, p: int, g: int, r: float, epsilon: float) -> tuple[bool, bool]:

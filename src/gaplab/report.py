@@ -19,36 +19,52 @@ writes its hit arrays (array fields are never keys) as "hits" rows and
 adds "borderline_count"; the series list is wrapped as {"checkpoints":
 [...]} and the bounds table as {"bounds": {name: {"bound", "citation"}}}.
 
-Hit rows are written by one row template per chunk of
-ScanReport.iter_hit_chunks() columns, not cell by cell: %d for the
-integers, %.15g for the threshold (the same text as format_float for
-every finite double) and false/true for the borderline flag. Before any
-row is written, the whole threshold column is checked, and a non-finite
-threshold raises the ValueError that format_float raises.
+The array-backed tables (the scan hit rows in JSON and CSV, and the
+index,prime CSV) are written by one text kernel, _HIT_ROWS rows at a
+time, with no Python per row. Each column becomes a (rows, width) byte
+matrix whose unused positions hold the pad byte 0; the matrices and the
+literal separators are stacked side by side, and the pad bytes are
+dropped. Integers (%d) are looked up four digits at a time in a table
+whose top-group entries carry pads for their leading zeros. The
+threshold (%.15g, the same text as format_float) is exact: with
+X = floor(log10 t) and k = 14 - X, Dekker's two-product gives
+t*10^k = hi + lo with no rounding (10^k is a double for k <= 22). For
+10^14 <= hi < 2^50, ulp(hi) <= 1/8 divides 1/2 and |lo| <= ulp(hi)/2,
+so the sign of hi - floor(hi) - 1/2, then of lo, then the parity of
+floor(hi) decide the round-half-even integer D of t*10^k: the digits
+that correctly rounded %.15g prints. D = 10^15 is the carry to X + 1. A
+row keeps Python's '%.15g' unless t > 0, -4 <= X <= 14 after the carry
+(no exponent form) and hi + lo >= 10^14 (log10 may put X one too high
+near a power of ten). Before any row is written, the whole threshold
+column is checked, and a non-finite threshold raises the ValueError
+that format_float raises.
 
-CSV: each artifact is one table. The two array-backed tables, the scan
-hits and the index,prime list, are written as a header line plus
-row-template chunks; the others (histogram, series, bounds) go through
-csv.writer, which quotes the citations. The series and bounds headers are
-their dataclass field names.
+CSV: each artifact is one table. The two array-backed tables are
+written as a header line plus kernel chunks; the others (histogram,
+series, bounds) go through csv.writer, which quotes the citations. The
+series and bounds headers are their dataclass field names.
+
+to_json and to_csv join the document's byte pieces and decode them;
+export_report writes the same pieces into one buffer, so the exported
+bytes exist once and no str copy of them is made.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import types
 import typing
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from . import ratios as _ratios
 from .expr import SequenceExpr
 from .gaps import GapBoundEntry, GapStats
 from .ratios import (
@@ -123,12 +139,6 @@ _GAP_NOTE = "minima and tail minima are finite-range proxies for liminf claims, 
 
 _HIT_COLUMNS = ("n", "p_n", "p_next", "g_n", "threshold", "borderline")
 
-# one row of a hit chunk; the borderline cell is taken from _BOOL_TEXT
-_JSON_HIT_ROW = "[%d,%d,%d,%d,%.15g,%s]"
-_CSV_HIT_ROW = "%d,%d,%d,%d,%.15g,%s\n"
-_CSV_PRIME_ROW = "%d,%d\n"
-_BOOL_TEXT = ("false", "true")
-
 
 def _report_type(report):
     """The key of `report` in _KINDS; a non-empty container is named by its items."""
@@ -140,29 +150,171 @@ def _report_type(report):
 
 
 # ---------------------------------------------------------------------------
-# row templates for the array-backed tables
+# text kernel for the array-backed tables
+
+# rows per kernel chunk: an export holds the byte matrices of one chunk at
+# a time, besides the text already written
+_HIT_ROWS = 1 << 14
+
+_PAD = 0  # fills a field to its width; never a byte of the text
+_TOP, _BLANK = 10000, 20000  # offsets of the padded and blank entries in _Tables.digits
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter for 53-bit doubles
 
 
-def _hit_text(report: ScanReport, template: str, sep: str) -> Iterator[str]:
-    """The hit rows as text, one string per chunk: `template % row` per row,
-    rows joined by `sep`. The whole threshold column is checked first,
-    because %.15g prints inf and nan where format_float refuses them."""
+class _Tables(typing.NamedTuple):
+    digits: np.ndarray  # four ASCII bytes per entry, read as one uint32 (see _tables)
+    pow10: np.ndarray  # 10^k for k = 0..18, each exact
+    keep: np.ndarray  # row r: 0xFF at the first r of 15 digits, pads after
+    lead: np.ndarray  # what precedes the digits of X = -4..-1, then of X >= 0
+    bools: np.ndarray  # "false", "true" and a pad
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's lookup tables, built at its first use, so that runs
+    that write no array-backed table never build them. Entry v < 10000 of
+    `digits` is v with leading zeros, _TOP + v is v with pads for its
+    leading zeros (0 keeps its units digit) and _BLANK is four pads."""
+    digits = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + np.uint8(ord("0"))
+    seen = np.logical_or.accumulate(digits != ord("0"), axis=1)
+    seen[:, -1] = True
+    top = np.where(seen, digits, np.uint8(_PAD))
+    blank = np.full((1, 4), _PAD, dtype=np.uint8)
+    return _Tables(
+        digits=np.vstack([digits, top, blank]).view(np.uint32).ravel(),
+        pow10=np.array([10**k for k in range(19)], dtype=np.float64),
+        keep=np.where(np.arange(15) < np.arange(16)[:, None], 0xFF, _PAD).astype(np.uint8),
+        lead=np.array([b"0.000", b"\x000.00", b"\x00\x000.0", b"\x00\x00\x000.", b""], dtype="S5")
+        .view(np.uint8)
+        .reshape(5, 5),
+        bools=np.array([b"false", b"true"], dtype="S5").view(np.uint8).reshape(2, 5),
+    )
+
+
+def _int_field(x: np.ndarray) -> np.ndarray:
+    """%d of each integer in x as a (rows, width) byte matrix."""
+    x = x.astype(np.int64, copy=False)
+    mag = np.abs(x).view(np.uint64)  # abs(-2^63) wraps to 2^63 as uint64
+    width = len(str(int(mag.max(initial=0))))
+    groups = -(-width // 4)
+    idx = np.empty((len(x), groups), dtype=np.intp)
+    rest = mag
+    for col in range(groups - 1, -1, -1):
+        rest, v = np.divmod(rest, 10000)
+        top = rest == 0
+        idx[:, col] = np.where(top, v + _TOP, v)
+        if col < groups - 1:  # a group above the leading one is blank
+            idx[top & (v == 0), col] = _BLANK
+    field = _tables().digits[idx].view(np.uint8)
+    neg = x < 0
+    if neg.any():
+        sign = np.where(neg, ord("-"), _PAD).astype(np.uint8)
+        field = np.hstack([sign[:, None], field])
+    return field
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo == a*b exactly (Dekker 1971), barring overflow and underflow."""
+    hi = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _decimal(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, X, ok) per double: where ok, t rounded to 15 significant digits,
+    ties to even, is D * 10^(X - 14) with 10^14 <= D < 10^15 and
+    -4 <= X <= 14 (the digits and exponent that %.14e prints). Rows
+    without ok hold D = 10^14 and any X. The argument is in the module
+    docstring."""
+    ok = t > 0
+    x = np.floor(np.log10(np.where(ok, t, 1.0)))
+    ok &= (x >= -4) & (x <= 14)
+    a = np.where(ok, t, 1.0)
+    hi, lo = _two_product(a, _tables().pow10[np.where(ok, 14 - x, 0).astype(np.intp)])
+    ok &= (hi > 1e14) | (hi == 1e14) & (lo >= 0)
+    base = np.floor(hi)
+    half = hi - base - 0.5
+    up = (half > 0) | (half == 0) & ((lo > 0) | (lo == 0) & (base % 2 == 1))
+    d = base + up
+    carry = d == 1e15
+    x += carry
+    ok &= (d <= 1e15) & (x <= 14)
+    return np.where(ok & ~carry, d, 1e14).astype(np.int64), x, ok
+
+
+def _float_field(t: np.ndarray) -> np.ndarray:
+    """%.15g of each double in t as a (rows, width) byte matrix; rows that
+    _decimal cannot print exactly take Python's text."""
+    d, x, ok = _decimal(t)
+    tables = _tables()
+    # D's 15 digits, then a point byte after each (a pad, or "." after
+    # digit X when a digit follows it); digits past both digit X and the
+    # last nonzero digit are pads; X < 0 puts "0." and -X - 1 zeros first
+    rest, v3 = np.divmod(d, 10000)
+    rest, v2 = np.divmod(rest, 10000)
+    v0, v1 = np.divmod(rest, 10000)
+    digits = tables.digits[np.stack([v0, v1, v2, v3], axis=1)].view(np.uint8)[:, 1:]
+    last = 14 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    xi = np.clip(x, -4, 14).astype(np.intp)
+    body = (digits & tables.keep[np.maximum(xi, last) + 1]).astype("<u2")
+    dot = np.flatnonzero((xi >= 0) & (last > xi))
+    body[dot, xi[dot]] |= ord(".") << 8
+    field = np.hstack([tables.lead[np.minimum(xi, 0) + 4], body.view(np.uint8)])
+    if not ok.all():
+        # '%.15g' is at most 22 bytes, so the field is wide enough
+        text = np.array(["%.15g" % v for v in t[~ok].tolist()], dtype=f"S{field.shape[1]}")
+        field[~ok] = text.view(np.uint8).reshape(len(text), -1)
+    return field
+
+
+def _rows(m: int, *cells: np.ndarray | bytes) -> bytes:
+    """The text of m rows: each cell a (m, width) byte matrix or a literal
+    repeated on every row, side by side, pads dropped."""
+    text = np.hstack(
+        [np.broadcast_to(np.frombuffer(c, np.uint8), (m, len(c))) if isinstance(c, bytes) else c for c in cells]
+    ).tobytes()
+    return text.translate(None, bytes([_PAD]))
+
+
+def _hit_text(report: ScanReport, as_json: bool) -> Iterator[bytes]:
+    """The hit rows as text, one bytes object per chunk of _HIT_ROWS rows:
+    JSON rows [n,p_n,p_next,g_n,threshold,borderline] joined by commas, or
+    CSV lines. The whole threshold column is checked first, because
+    %.15g prints inf and nan where format_float refuses them."""
     thr = report.hits_threshold
     finite = np.isfinite(thr)
     if not finite.all():
         raise _non_finite(float(thr[~finite][0]))
-    return (
-        sep.join(map(template.__mod__, zip(n, p, q, g, t, map(_BOOL_TEXT.__getitem__, b))))
-        for n, p, q, g, t, b in report.iter_hit_chunks()
+    return (_hit_chunk(report, slice(lo, lo + _HIT_ROWS), as_json) for lo in range(0, len(thr), _HIT_ROWS))
+
+
+def _hit_chunk(report: ScanReport, rows: slice, as_json: bool) -> bytes:
+    p, g = report.hits_p[rows], report.hits_gap[rows]
+    cells = (
+        _int_field(report.hits_n[rows]), b",",
+        _int_field(p), b",",
+        _int_field(p + g), b",",
+        _int_field(g), b",",
+        _float_field(report.hits_threshold[rows]), b",",
+        _tables().bools[report.hits_borderline[rows].view(np.uint8)],
     )
+    if as_json:
+        return _rows(len(p), b"[", *cells, b"],")[:-1]
+    return _rows(len(p), *cells, b"\n")
 
 
-def _prime_text(primes: np.ndarray) -> Iterator[str]:
-    """The index,prime rows as text, one string per chunk of _HIT_ROWS rows."""
-    step = _ratios._HIT_ROWS
-    for lo in range(0, len(primes), step):
-        rows = enumerate(primes[lo : lo + step].tolist(), start=lo + 1)
-        yield "".join(map(_CSV_PRIME_ROW.__mod__, rows))
+def _prime_text(primes: np.ndarray) -> Iterator[bytes]:
+    """The index,prime rows as text, one bytes object per chunk of _HIT_ROWS rows."""
+    for lo in range(0, len(primes), _HIT_ROWS):
+        chunk = primes[lo : lo + _HIT_ROWS]
+        index = np.arange(lo + 1, lo + 1 + len(chunk), dtype=np.int64)
+        yield _rows(len(chunk), _int_field(index), b",", _int_field(chunk), b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +334,7 @@ def _to_obj(value):
         elif isinstance(value, GapStats):
             obj["note"] = _GAP_NOTE
         elif isinstance(value, ScanReport):
-            obj["hits"] = _hit_text(value, _JSON_HIT_ROW, ",")
+            obj["hits"] = _hit_text(value, as_json=True)
             obj["borderline_count"] = value.borderline_count
         return obj
     if isinstance(value, (list, tuple)):
@@ -196,48 +348,47 @@ def _to_obj(value):
     return value
 
 
-def _json_pieces(value) -> Iterator[str]:
-    """JSON text of a _to_obj result, in pieces: keys sorted, floats via
-    format_float. to_json joins the pieces once, so no container's text is
-    copied into its parent's.
+def _json_pieces(value) -> Iterator[bytes]:
+    """UTF-8 JSON text of a _to_obj result, in pieces: keys sorted, floats
+    via format_float.
 
     An iterator holds pre-encoded JSON items (the scan hit chunks); each
     is yielded as it is.
     """
     if isinstance(value, dict):
-        yield "{"
+        yield b"{"
         for i, k in enumerate(sorted(value)):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            yield f"{',' if i else ''}{json.dumps(k, ensure_ascii=False)}:"
+            yield f"{',' if i else ''}{json.dumps(k, ensure_ascii=False)}:".encode()
             yield from _json_pieces(value[k])
-        yield "}"
+        yield b"}"
     elif isinstance(value, (list, tuple, Iterator)):
-        yield "["
+        yield b"["
         for i, v in enumerate(value):
             if i:
-                yield ","
+                yield b","
             if isinstance(value, Iterator):
                 yield v
             else:
                 yield from _json_pieces(v)
-        yield "]"
+        yield b"]"
     elif value is None:
-        yield "null"
+        yield b"null"
     elif isinstance(value, (bool, np.bool_)):
-        yield "true" if value else "false"
+        yield b"true" if value else b"false"
     elif isinstance(value, str):
-        yield json.dumps(value, ensure_ascii=False)
+        yield json.dumps(value, ensure_ascii=False).encode()
     elif isinstance(value, (int, np.integer)):
-        yield str(int(value))
+        yield str(int(value)).encode()
     elif isinstance(value, (float, np.floating)):
-        yield format_float(float(value))
+        yield format_float(float(value)).encode()
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-def to_json(report) -> str:
-    """Serialize any registered report to deterministic JSON."""
+def _json_document(report) -> Iterable[bytes]:
+    """The JSON export of any registered report, in pieces."""
     rtype = _report_type(report)
     if rtype not in _KINDS:
         raise TypeError(f"no JSON schema registered for {type(report).__name__}")
@@ -254,7 +405,12 @@ def to_json(report) -> str:
         doc = _to_obj(report)
     doc["schema_version"] = SCHEMA_VERSION
     doc["report"] = _KINDS[rtype]
-    return "".join(chain(_json_pieces(doc), ["\n"]))
+    return chain(_json_pieces(doc), [b"\n"])
+
+
+def to_json(report) -> str:
+    """Serialize any registered report to deterministic JSON."""
+    return b"".join(_json_document(report)).decode()
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +501,21 @@ def _field_table(cls, items):
     return names, ([_fmt_cell(getattr(x, name)) for name in names] for x in items)
 
 
-def _text_table(report) -> Iterator[str] | None:
-    """An array-backed table as its header line and row-template chunks;
-    None for the tables that csv.writer writes."""
+def _csv_document(report) -> Iterable[bytes]:
+    """The CSV export of a report, in pieces: an array-backed table as its
+    header line and kernel chunks, any other table through csv.writer."""
     if isinstance(report, GapBoundSummary):
         report = report.scan
     if isinstance(report, ScanReport):
-        return chain([",".join(_HIT_COLUMNS) + "\n"], _hit_text(report, _CSV_HIT_ROW, ""))
+        return chain([",".join(_HIT_COLUMNS).encode() + b"\n"], _hit_text(report, as_json=False))
     if isinstance(report, np.ndarray) and report.dtype.kind == "i":
-        return chain(["index,prime\n"], _prime_text(report))
-    return None
+        return chain([b"index,prime\n"], _prime_text(report))
+    header, rows = _csv_table(report)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return [buf.getvalue().encode()]
 
 
 def _csv_table(report):
@@ -371,21 +532,17 @@ def _csv_table(report):
 
 def to_csv(report) -> str:
     """Serialize a report to its documented CSV schema."""
-    text = _text_table(report)
-    if text is not None:
-        return "".join(text)
-    header, rows = _csv_table(report)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+    return b"".join(_csv_document(report)).decode()
 
 
 def export_report(report, format: str) -> bytes:
     """Render a report in the requested format; UTF-8 bytes out."""
     if format == "json":
-        return to_json(report).encode("utf-8")
-    if format == "csv":
-        return to_csv(report).encode("utf-8")
-    raise ValueError(f"unknown export format {format!r}")
+        pieces = _json_document(report)
+    elif format == "csv":
+        pieces = _csv_document(report)
+    else:
+        raise ValueError(f"unknown export format {format!r}")
+    buf = io.BytesIO()
+    buf.writelines(pieces)
+    return buf.getvalue()

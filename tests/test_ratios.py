@@ -313,13 +313,15 @@ def test_hit_rows_are_chunk_invariant(monkeypatch):
     json_text, csv_text = to_json(report), to_csv(report)
     primes = primes_upto(10**4)
     primes_text = to_csv(primes)
-    monkeypatch.setattr(ratios, "_HIT_ROWS", 7)
+    assert list(report.iter_hits()) == whole
+    # 7 leaves a partial last chunk
     assert len(whole) > 7 and len(whole) % 7
     assert len(primes) > 7 and len(primes) % 7
-    assert list(report.iter_hits()) == whole
-    assert to_json(report) == json_text
-    assert to_csv(report) == csv_text
-    assert to_csv(primes) == primes_text
+    for hit_rows in (1, 7):
+        monkeypatch.setattr("gaplab.report._HIT_ROWS", hit_rows)
+        assert to_json(report) == json_text
+        assert to_csv(report) == csv_text
+        assert to_csv(primes) == primes_text
     # the rows csv.writer wrote before the row template replaced it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

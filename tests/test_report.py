@@ -2,12 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import gaplab.ratios as ratios
 from gaplab.expr import parse_sequence
 from gaplab.gaps import gpy_statistics, literature_bounds
 from gaplab.ratios import (
@@ -23,6 +23,10 @@ from gaplab.report import (
     SCHEMA_VERSION,
     ParsedExpression,
     SieveSummary,
+    _decimal,
+    _float_field,
+    _int_field,
+    _rows,
     export_report,
     format_float,
     parse_report,
@@ -296,9 +300,9 @@ GOLDEN_HAND_SCAN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("hit_rows", [2, 1 << 16])
+@pytest.mark.parametrize("hit_rows", [1, 2, 1 << 16])
 def test_hand_built_scan_matches_golden_bytes(monkeypatch, hit_rows):
-    monkeypatch.setattr(ratios, "_HIT_ROWS", hit_rows)
+    monkeypatch.setattr("gaplab.report._HIT_ROWS", hit_rows)
     scan = hand_scan()
     summary = GapBoundSummary(scan=scan, implied_bound=15000000000000000, statement="hand-built")
     got = {
@@ -330,9 +334,100 @@ def test_exact_sum_exports_match_golden_bytes():
     assert got == GOLDEN_EXACT_SUM_SHA256
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False))
-def test_row_template_float_format_is_format_float(x):
-    assert "%.15g" % x == format_float(x)
+def _float_texts(values) -> list[str]:
+    t = np.array(values, dtype=np.float64)
+    return _rows(len(t), _float_field(t), b"\n").decode().splitlines()
+
+
+def _int_texts(values) -> list[str]:
+    x = np.array(values, dtype=np.int64)
+    return _rows(len(x), _int_field(x), b"\n").decode().splitlines()
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+def test_float_kernel_is_format_float(xs):
+    # both signs, subnormals and exponent form: every finite double, with
+    # fallback rows among kernel rows
+    assert _float_texts(xs) == [format_float(x) for x in xs]
+
+
+@given(st.floats(min_value=1e-4, max_value=1e15, exclude_max=True))
+def test_decimal_is_the_digits_of_percent_14e(x):
+    d, exp, ok = _decimal(np.array([x]))
+    # only the neighbourhood of a power of ten may leave the kernel
+    assert ok[0] or abs(x / 10.0 ** round(math.log10(x)) - 1) < 1e-12
+    if ok[0]:
+        mantissa, exponent = ("%.14e" % x).split("e")
+        assert (int(d[0]), int(exp[0])) == (int(mantissa.replace(".", "")), int(exponent))
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (123456789012345.5, "123456789012346"),
+        (123456789012344.5, "123456789012344"),
+        (12345678901234.25, "12345678901234.2"),
+        (12345678901234.75, "12345678901234.8"),
+    ],
+)
+def test_ties_at_the_16th_digit_round_to_even(x, text):
+    assert format_float(x) == text
+    assert _decimal(np.array([x]))[2][0]  # printed by the kernel, not the fallback
+    assert _float_texts([x]) == [text]
+
+
+_NEAR_POWERS = [1e15, 1e14, 99999999999999.5, 1e-4, 1e-5, 999.9999999999999, 9.999999999999995e14, 1.0, 0.1]
+
+
+def test_powers_of_ten_and_their_neighbours():
+    xs = np.array(_NEAR_POWERS)
+    xs = np.concatenate([np.nextafter(xs, 0), xs, np.nextafter(xs, np.inf)])
+    xs = np.concatenate([xs, -xs, [0.0, -0.0, 5e-324, 1.7976931348623157e308]])
+    assert _float_texts(xs) == [format_float(x) for x in xs.tolist()]
+
+
+def test_integer_kernel_edges():
+    edges = [0, 9, 10, 9999, 10000, 99999999, 100000000, 2**63 - 1, -1, -10000, -(2**63)]
+    assert _int_texts(edges) == [str(v) for v in edges]
+    for v in edges:
+        assert _int_texts([v]) == [str(v)]
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
+def test_integer_kernel_is_percent_d(xs):
+    assert _int_texts(xs) == [str(v) for v in xs]
+
+
+def test_export_holds_its_bytes_once(monkeypatch):
+    """The text is built once, in the buffer export_report returns: the
+    peak stays under 1.5 times its length plus a chunk's work space."""
+    monkeypatch.setattr("gaplab.report._HIT_ROWS", 1024)
+    rows = 10**5
+    n = np.arange(2, rows + 2, dtype=np.int64)
+    scan = ScanReport(
+        r=2.0,
+        epsilon=0.0,
+        limit=10**13,
+        n_lo=2,
+        n_hi=rows + 1,
+        hit_count=rows,
+        hits_n=n,
+        hits_p=n * 10**6 + 1,
+        hits_gap=np.full(rows, 2, dtype=np.int64),
+        hits_threshold=np.linspace(2.0, 3.0, rows),
+        hits_borderline=n % 7 == 0,
+        min_gap_among_hits=2,
+        max_threshold_among_hits=3.0,
+    )
+    for fmt in ("json", "csv"):
+        tracemalloc.start()
+        try:
+            data = export_report(scan, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) > 4 * 10**6
+        assert peak < 1.5 * len(data) + 10**6, (fmt, peak, len(data))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
