@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("star", parents=[common], help="two-axis candidate check")
     p.add_argument("--expr", dest="expression", required=True)
     p.add_argument("--r", type=float, required=True, help="target ratio-excess limit")
-    p.add_argument("--n0", type=int, default=None, help="first index analyzed (default 2)")
+    p.add_argument("--n0", type=int, default=None,
+                   help="first ratio-excess sample (default 2); the summability probe always sums from n = 2")
     p.add_argument("--n-max", type=int, default=None, help="last index analyzed (default 2^16)")
     p = sub.add_parser("scan", parents=[common, stream],
                        help="scan primes for p_(n+1)/p_n < 1 + (r+eps)/(n ln n)")

@@ -404,7 +404,8 @@ def _first_bad(ns, mask) -> int:
 
 
 def _check(bad, fault: str, node: SequenceExpr, ns) -> None:
-    if np.any(bad):
+    # an array's own .any() skips np.any's dispatch; scalars are plain bools
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         n = _first_bad(ns, bad)
         raise EvalError(
             f"{fault} in '{format_sequence(node)}' at n={n}", node=format_sequence(node), n=n
@@ -435,15 +436,21 @@ def _eval(node: SequenceExpr, x, ns, lane: _Lane):
     if isinstance(node, Pow):
         base = _eval(node.base, x, ns, lane)
         expo = _eval(node.exponent, x, ns, lane)
-        # the exponent side is often a constant that holds nowhere, and a
-        # bool array & a numpy bool scalar is numpy's slow path (about 11 ms
-        # per 8 M elements, against 0.7 ms for two arrays)
         fractional = expo != lane.floor(expo)
-        if np.any(fractional):
-            _check((base < 0) & fractional, "fractional power of a negative base", node, ns)
         negative = expo < 0
-        if np.any(negative):
-            _check((base == 0) & negative, "zero raised to a negative power", node, ns)
+        if np.ndim(expo) == 0:
+            # a constant exponent is decided once, and where it allows a
+            # fault the base's own mask names it: a bool array & a numpy bool
+            # scalar is numpy's slow path (about 11 ms per 8 M elements)
+            if fractional:
+                _check(base < 0, "fractional power of a negative base", node, ns)
+            if negative:
+                _check(base == 0, "zero raised to a negative power", node, ns)
+        else:
+            if fractional.any():
+                _check((base < 0) & fractional, "fractional power of a negative base", node, ns)
+            if negative.any():
+                _check((base == 0) & negative, "zero raised to a negative power", node, ns)
         return lane.power(base, expo)
     raise TypeError(f"not a sequence expression node: {node!r}")
 
@@ -473,39 +480,55 @@ def eval_sequence_mp(expr: SequenceExpr, n: int):
         return val
 
 
+def _eval_float(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
+    """The float64 walk over a nonempty ns, then the output's own two tests."""
+    out = _eval(expr, ns.astype(np.float64), ns, _NP)
+    if np.ndim(out) == 0:
+        out = np.full(ns.shape, out, dtype=np.float64)
+    # nan fails both tests; the masks are built only to name the index
+    if out.min() > 0 and out.max() < np.inf:
+        return out
+    text = format_sequence(expr)
+    nonfinite = ~np.isfinite(out)
+    if nonfinite.any():
+        n = _first_bad(ns, nonfinite)
+        raise EvalError(f"evaluation of '{text}' is not finite at n={n}", node=text, n=n)
+    bad = out <= 0
+    n = _first_bad(ns, bad)
+    hint = ""
+    if out[int(np.argmax(bad))] == 0.0:
+        hint = " (exact zero; rapidly decaying sequences can underflow the float64 lane)"
+    raise PositivityError(f"not a positive sequence at n={n}: '{text}'{hint}", node=text, n=n)
+
+
 def eval_array(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
     """Evaluate at every index in ns through the float64 lane.
 
-    Runs the same walk and fault checks as eval_sequence_mp, elementwise,
-    and reports each fault at the first offending index of ns. On top of
-    them, float64 overflow shows up here as "not finite", where mpmath
-    would return a value, and every result must be strictly positive.
+    Runs the same walk and fault checks as eval_sequence_mp, elementwise.
+    On top of them, float64 overflow shows up here as "not finite", where
+    mpmath would return a value, and every result must be strictly
+    positive. A fault is reported at the first offending position of ns
+    across all of these checks, so the report does not depend on how a
+    caller cuts its indices into arrays. At one position the walk's faults
+    come first, in walk order, then "not finite", then positivity.
     """
     ns = np.asarray(ns)
     if ns.size == 0:
         return np.zeros(0, dtype=np.float64)
     if int(ns.min()) < 1:
         raise ValueError(f"sequence indices must be >= 1, got {int(ns.min())}")
-    x = ns.astype(np.float64)
-    out = _eval(expr, x, ns, _NP)
-    if np.ndim(out) == 0:
-        out = np.full(x.shape, out, dtype=np.float64)
-    nonfinite = ~np.isfinite(out)
-    if nonfinite.any():
-        raise EvalError(
-            f"evaluation of '{format_sequence(expr)}' is not finite at n={_first_bad(ns, nonfinite)}",
-            node=format_sequence(expr),
-            n=_first_bad(ns, nonfinite),
-        )
-    bad = out <= 0
-    if bad.any():
-        n_bad = _first_bad(ns, bad)
-        hint = ""
-        if out[int(np.argmax(bad))] == 0.0:
-            hint = " (exact zero; rapidly decaying sequences can underflow the float64 lane)"
-        raise PositivityError(
-            f"not a positive sequence at n={n_bad}: '{format_sequence(expr)}'{hint}",
-            node=format_sequence(expr),
-            n=n_bad,
-        )
-    return out
+    try:
+        return _eval_float(expr, ns)
+    except EvalError as err:
+        fault = err
+    # the walk stops at the first check that fails anywhere, so another check
+    # can fail earlier only in the prefix before the named index (every copy
+    # of that index fails alike, so its first copy is the offending position)
+    while (end := int(np.argmax(ns == fault.n))) > 0:
+        try:
+            _eval_float(expr, ns[:end])
+        except EvalError as err:
+            fault = err
+        else:
+            break
+    raise fault

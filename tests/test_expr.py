@@ -352,6 +352,61 @@ def test_both_lanes_fail_alike(text, n, also_bad, error, message, node):
     assert (bulk.value.n, bulk.value.node) == (scalar.value.n, scalar.value.node) == (n, node)
 
 
+@pytest.mark.parametrize(
+    "text, ns, error, message",
+    [
+        ("n^(-2)", [3, 1, 2], None, None),
+        ("(n-5)^0.5", [9, 7, 3, 4], EvalError, "fractional power of a negative base in '(n - 5)^0.5' at n=3"),
+        ("(n-40000)^0.5", [40001, 39999, 2], EvalError, "fractional power of a negative base in '(n - 40000)^0.5' at n=39999"),
+        ("(n-3)^(-2)", [5, 1, 3], EvalError, "zero raised to a negative power in '(n - 3)^-2' at n=3"),
+    ],
+)
+def test_constant_exponent_faults_follow_the_base(text, ns, error, message):
+    # a constant exponent that allows the fault leaves the base's own mask
+    # to say where it falls; n^(-2) never meets a zero base
+    tree = parse_sequence(text)
+    if error is None:
+        got = eval_array(tree, np.array(ns))
+        assert got.tolist() == [float(eval_sequence_mp(tree, n)) for n in ns]
+        return
+    with pytest.raises(error, match=re.escape(message)) as bulk:
+        eval_array(tree, np.array(ns))
+    with pytest.raises(error, match=re.escape(message)):
+        eval_sequence_mp(tree, bulk.value.n)
+
+
+def _first_fault(tree, ns):
+    """What the first index of ns whose evaluation alone fails raises."""
+    for n in ns:
+        try:
+            eval_array(tree, np.array([n]))
+        except EvalError as err:
+            return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/(n-20) + ln(n-5)",          # a later walk check fails first
+        "ln(n-5) + 1/(n-20)",
+        "n^(1000*n) - 5",              # not positive at n = 1, not finite from 2
+        "(12-n)^(n/2) + 1/(n-7)",      # negative base from 13, zero divisor at 7
+        "1/(n-30)^2 + 1/(n-8)^2 + n",
+    ],
+)
+def test_array_lane_reports_the_first_offending_position(text):
+    # whichever check the walk reaches first, the fault named is the one
+    # at the first position of ns where any check fails
+    tree = parse_sequence(text)
+    rng = np.random.default_rng(5)
+    for ns in (np.arange(1, 40), np.arange(40, 0, -1), rng.permutation(np.arange(1, 40))):
+        want = _first_fault(tree, ns.tolist())
+        with pytest.raises(EvalError) as bulk:
+            eval_array(tree, ns)
+        assert (type(bulk.value), str(bulk.value)) == want
+
+
 def test_only_the_array_lane_overflows():
     tree = parse_sequence("(n^n)^n")
     with pytest.raises(EvalError, match=re.escape("'(n^n)^n' is not finite at n=17")) as bulk:

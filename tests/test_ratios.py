@@ -1,6 +1,9 @@
 import csv
 import io
+import json
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import gaplab.gaps as gaps
 import gaplab.ratios as ratios
-from gaplab.errors import PositivityError
+from gaplab.errors import EvalError, PositivityError
 from gaplab.expr import eval_array, parse_sequence
 from gaplab.gaps import iter_gap_blocks
 from gaplab.ratios import (
@@ -23,7 +26,7 @@ from gaplab.ratios import (
     summability_probe,
 )
 
-from gaplab.report import to_csv, to_json
+from gaplab.report import export_report, to_csv, to_json
 from gaplab.sieve import primes_upto
 
 from oracles import brute_force_scan, gap_records, mp_ratio_excess
@@ -223,6 +226,23 @@ def test_probe_partial_sums_do_not_depend_on_the_chunk(monkeypatch, text):
     assert summability_probe(expr(text), 1500).partial_sums == whole.partial_sums
 
 
+def test_probe_and_comparison_memory_is_bounded_by_the_chunk():
+    # every float64 temporary is one chunk long, whatever n_max is; a
+    # 2^20-term array alone would be 8 MB
+    tree = expr(ratios.CONVERGENT_REFERENCE)
+    for run in (
+        lambda: summability_probe(tree, 2**20),
+        lambda: ratio_comparison(tree, expr(ratios.DIVERGENT_REFERENCE), 2, 2**20),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 def test_probe_partial_sum_beyond_the_float_range_raises():
     # 2^20 terms of 10^302 stay below the largest double, 2^21 do not
     with pytest.raises(OverflowError, match=r"partial sum at n=2097152 exceeds"):
@@ -265,6 +285,34 @@ def test_n_log_square_fails_only_ratio():
     assert rep.failed_axes == ("ratio",)
     # e_n grows like ln n + 2 here, so the deviation from 2 is the ln
     assert rep.max_excess_deviation > 5
+
+
+@pytest.mark.parametrize("text", ["1/(n*ln(n)^2)", "1/ln(n)^2"])
+def test_candidate_report_does_not_depend_on_the_chunk(monkeypatch, text):
+    # 20,000 terms leave a short last chunk at each size, and one reference
+    # comparison of each candidate is violated at every n, so in every chunk
+    def artifact():
+        return export_report(check_candidate(expr(text), 1.0, n_max=20_001), "json")
+
+    whole = artifact()
+    comparisons = json.loads(whole)["summability"]["reference_comparisons"]
+    assert max(c["violation_count"] for c in comparisons.values()) == 20_000
+    for chunk in (7, 4099):
+        monkeypatch.setattr(ratios, "_CHUNK", chunk)
+        assert artifact() == whole
+
+
+@pytest.mark.parametrize("chunk", [7, 2**14, 2**20])
+@pytest.mark.parametrize(
+    "text", ["1/(n-20000)^2 + 1/(n-100)^2", "1/(n-100)^2 + 1/(n-20000)^2"]
+)
+def test_candidate_fault_does_not_depend_on_the_chunk(monkeypatch, chunk, text):
+    # the walk meets the two divisions in either order; the report names
+    # the first offending n, wherever the chunk edges fall
+    monkeypatch.setattr(ratios, "_CHUNK", chunk)
+    with pytest.raises(EvalError, match=re.escape("in '1/(n - 100)^2' at n=100")) as err:
+        check_candidate(expr(text), 1.0, n_max=65536)
+    assert err.value.n == 100
 
 
 def test_candidate_check_validation():
