@@ -164,9 +164,20 @@ def _suffix_window(p: np.ndarray, g: np.ndarray) -> tuple[int, int]:
     p_last is the prime at the last index of m, and j the first index
     with p >= p_last - p_last // 10^6 (module docstring).
     """
-    last = len(g) - 1 - int(np.argmin(g[::-1]))
+    m = g.min()
+    # the last index of m, searched from the end in widening windows: the
+    # smallest gap is common (twin gaps are dense), so the first 64 pairs
+    # nearly always hold it, and no scan runs through a reversed stride
+    end, width = len(g), 64
+    while True:
+        start = max(0, end - width)
+        hits = np.flatnonzero(g[start:end] == m)
+        if hits.size:
+            break
+        end, width = start, width * 8
+    last = start + int(hits[-1])
     p_last = int(p[last])
-    return int(g[last]), int(np.searchsorted(p, p_last - p_last // 10**6))
+    return int(m), int(np.searchsorted(p, p_last - p_last // 10**6))
 
 
 def _normalized_minima(p: np.ndarray, g: np.ndarray) -> tuple[float, float]:

@@ -266,12 +266,15 @@ def ratio_comparison(
         ns = np.arange(lo, hi + 2, dtype=np.int64)
         va = eval_array(a, ns)
         vb = eval_array(b, ns)
-        violations = np.flatnonzero(~(va[:-1] / va[1:] >= vb[:-1] / vb[1:]))
-        if violations.size:
+        bad = ~(va[:-1] / va[1:] >= vb[:-1] / vb[1:])
+        # tallied by count, so a chunk violated at every n (as the divergent
+        # reference is) builds no index array
+        k = int(np.count_nonzero(bad))
+        if k:
             if first is None:
-                first = int(violations[0]) + lo
-            last = int(violations[-1]) + lo
-            count += int(violations.size)
+                first = int(np.argmax(bad)) + lo
+            last = hi - int(np.argmax(bad[::-1]))
+            count += k
     return ComparisonResult(
         n_lo=n_lo,
         n_hi=n_hi,

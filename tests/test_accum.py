@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gaplab.accum as accum
 from gaplab.accum import exact_block_sum, rounded_partial_sum
+from gaplab.sieve import primes_upto
 
 any_finite_floats = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60)
 
@@ -116,6 +117,77 @@ def test_shuffled_block_spanning_600_decades(monkeypatch, slice_len):
     assert total == sum(map(Fraction, x.tolist()))
     assert head_and_tail(total) == two_fsum_passes(x)
     assert exact_block_sum(x[::-1]) == total
+
+
+def exact(values):
+    return sum(map(Fraction, np.asarray(values, dtype=np.float64).tolist()), Fraction(0))
+
+
+def test_alternating_exponents_make_every_term_its_own_run():
+    rng = np.random.default_rng(2)
+    x = (rng.random(5001) + 0.5) * np.where(np.arange(5001) % 2, 2.0**40, 2.0**-40)
+    x *= rng.choice([-1.0, 1.0], x.size)
+    e = np.frexp(x)[1]
+    assert (e[1:] != e[:-1]).all()
+    assert exact_block_sum(x) == exact(x)
+
+
+def test_run_across_a_slice_edge(monkeypatch):
+    # the 29 terms 1 + u share one exponent, so their run is cut at every
+    # edge of an 8-term slice; the 0.25 and 0.375 at the ends are other runs
+    monkeypatch.setattr(accum, "_SLICE", 8)
+    rng = np.random.default_rng(8)
+    x = np.concatenate([[0.25], 1.0 + rng.random(29), [0.25, 0.375]])
+    assert exact_block_sum(x) == exact(x)
+    assert exact_block_sum(x[1:-2]) == exact(x[1:-2])
+
+
+def test_one_run_of_a_whole_slice_at_the_largest_mantissa():
+    # the first slice is one run of 2**20 largest mantissas, whose high
+    # parts total 2**20 * (2**27 - 1), just below 2**47; the second slice
+    # holds one more and a second run
+    top = np.nextafter(2.0, 0.0)
+    x = np.full((1 << 20) + 2, top)
+    x[-1] = 0.75
+    want = Fraction(top) * ((1 << 20) + 1) + Fraction(3, 4)
+    assert exact_block_sum(x) == want
+    assert exact_block_sum(-x) == -want
+    # reversed, the first slice is 0.75 and then a run of 2**20 - 1 tops
+    assert exact_block_sum(x[::-1]) == want
+    x[: 1 << 20 : 2] *= -1.0  # mixed signs cancel within the run
+    assert exact_block_sum(x) == Fraction(top) + Fraction(3, 4)
+
+
+def test_mixed_signs_and_subnormals_in_one_run():
+    # k * 2**-1074 with 512 <= k < 1024 all share frexp's exponent -1064
+    rng = np.random.default_rng(1074)
+    x = rng.integers(512, 1024, 3000) * 2.0**-1074 * rng.choice([-1.0, 1.0], 3000)
+    assert len(np.unique(np.frexp(x)[1])) == 1
+    assert exact_block_sum(x) == exact(x)
+    tiny = Fraction(1, 2**1074)
+    assert exact_block_sum(np.concatenate([[2.0**-1074], x, [2.0**-1074]])) == exact(x) + 2 * tiny
+
+
+def test_prime_reciprocals_across_2_to_the_23():
+    # 1/p halves its binade at p = 2**23: the block holds exactly two runs
+    p = primes_upto((1 << 23) + 3000)
+    p = p[p > (1 << 23) - 3000]
+    x = 1.0 / p.astype(np.float64)
+    assert len(np.unique(np.frexp(x)[1])) == 2
+    assert exact_block_sum(x) == exact(x)
+    assert float(exact_block_sum(x)) == math.fsum(x.tolist())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_term_inside_a_run_is_rejected(bad):
+    # frexp gives nan and inf the exponent of [0.5, 1), so they share the
+    # run of their neighbours; the error is the only signal, never a warning
+    x = np.array([0.5, 0.75, bad, -bad, 0.625])
+    assert len(np.unique(np.frexp(x)[1])) == 1
+    with pytest.raises(ValueError, match=r"^exact_block_sum needs finite terms$"):
+        exact_block_sum(x)
+    with pytest.raises(ValueError, match=r"^exact_block_sum needs finite terms$"):
+        exact_block_sum(x[:3])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -166,6 +166,42 @@ def test_comparison_violations_are_chunk_invariant(monkeypatch, a_text, b_text, 
     assert res.last_violation == (int(direct[-1]) if len(direct) else None)
 
 
+def _terms_violated_at(violations, n_max):
+    """t(n) for 0 <= n <= n_max + 1, with t(n)/t(n+1) = 1/2 at the given n
+    and 2 elsewhere, so a comparison against a constant fails exactly there."""
+    steps = np.where(np.isin(np.arange(n_max + 1), list(violations)), 1.0, -1.0)
+    return 2.0 ** np.concatenate([[0.0], np.cumsum(steps)])
+
+
+# with _CHUNK = 7 from n = 2 the chunks start at 2, 9, 16, 23, 30, 37
+@pytest.mark.parametrize("n_hi", [29, 30, 31])
+@pytest.mark.parametrize(
+    "violations",
+    [
+        set(),
+        {9},  # a chunk's first index
+        {15},  # a chunk's last index
+        {2, 8, 9, 22, 23},
+        {16, 22},  # the first and last index of one chunk
+        {29, 30, 31},  # n_hi, wherever it ends its chunk
+        set(range(2, 32)),  # every n
+    ],
+)
+def test_comparison_tally_matches_flatnonzero(monkeypatch, violations, n_hi):
+    terms = _terms_violated_at(violations, n_hi)
+    monkeypatch.setattr(
+        ratios, "eval_array", lambda e, ns: terms[ns] if e == "a" else np.ones(len(ns))
+    )
+    monkeypatch.setattr(ratios, "_CHUNK", 7)
+    ns = np.arange(2, n_hi + 2)
+    direct = np.flatnonzero(~(terms[ns][:-1] / terms[ns][1:] >= 1.0)) + 2
+    assert set(direct.tolist()) == {n for n in violations if n <= n_hi}
+    res = ratio_comparison("a", "b", 2, n_hi)
+    assert res.first_violation == (int(direct[0]) if len(direct) else None)
+    assert res.last_violation == (int(direct[-1]) if len(direct) else None)
+    assert res.violation_count == len(direct)
+
+
 def test_comparison_consequence_transfers_geometric_decay():
     # if a's ratio dominates b's on the range and b's dyadic increments
     # shrink geometrically, a's must as well
