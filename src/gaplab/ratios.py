@@ -268,12 +268,13 @@ def ratio_comparison(
         vb = eval_array(b, ns)
         bad = ~(va[:-1] / va[1:] >= vb[:-1] / vb[1:])
         # tallied by count, so a chunk violated at every n (as the divergent
-        # reference is) builds no index array
+        # reference is) builds no index array; the reversed argmax, which
+        # copies the view, runs only when the chunk's last n is no violation
         k = int(np.count_nonzero(bad))
         if k:
             if first is None:
                 first = int(np.argmax(bad)) + lo
-            last = hi - int(np.argmax(bad[::-1]))
+            last = hi if bad[-1] else hi - int(np.argmax(bad[::-1]))
             count += k
     return ComparisonResult(
         n_lo=n_lo,

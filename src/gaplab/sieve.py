@@ -24,8 +24,13 @@ Meissel-Lehmer that needs no sieve: prime_count answers from it alone.
 Every segment covers DEFAULT_SEGMENT_SIZE odd numbers, which no caller
 sets: the prime stream and every output are the same at any segment
 size, and the tests place segment edges by patching this constant.
-Carried offsets make the kernel sequential, so no function here needs a
-thread count.
+Carried offsets make the kernel sequential, so segments are never sieved
+side by side. Instead each stream runs the kernel on one worker thread,
+one segment ahead of its consumer: while the worker clears the next
+bitmap (strided writes, which hold the interpreter lock), the consumer
+extracts the primes of the current one (np.flatnonzero, which releases
+it) and runs its own stage. The blocks are the same as from an inline
+drain, so no function here needs a thread count.
 
 See Bays & Hudson, BIT 17 (1977), and Oliveira e Silva, Herzog & Pardi,
 Math. Comp. 83 (2014), for the segmented sieve with a pre-sieve; and
@@ -36,6 +41,7 @@ Legendre sums.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
@@ -121,9 +127,10 @@ def _validate_limit(limit: int, name: str = "limit") -> int:
 def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (low, mask) for the odd numbers in [max(lo, 3), limit], one segment at a time.
 
-    mask[i] is True iff low + 2i is prime. mask is a view of one buffer
-    that the next segment overwrites, so a consumer reads it before
-    asking for the next one.
+    mask[i] is True iff low + 2i is prime. The segments alternate between
+    two buffers, so mask k is overwritten by segment k + 2: a consumer
+    reads it before asking for mask k + 2, and may have mask k + 1
+    sieved while it still reads mask k (as _sieve_ahead does).
     """
     first = max(lo | 1, 3)
     if first > limit:
@@ -132,7 +139,7 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
 
     width = min(DEFAULT_SEGMENT_SIZE, n_odds)
     pattern = _wheel_pattern(_WHEEL_PERIOD + width)
-    buf = np.empty(width, dtype=bool)
+    buf, spare = np.empty(width, dtype=bool), np.empty(width, dtype=bool)
 
     base = _small_sieve(math.isqrt(limit))
     p = base[base > _WHEEL_PRIMES[-1]]
@@ -158,9 +165,63 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
                 if low <= q < high:
                     mask[(q - low) // 2] = True
         yield low, mask
+        buf, spare = spare, buf
         off -= n
         neg = off < 0
         off[neg] %= p[neg]
+
+
+def _sieve_ahead(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (low, np.flatnonzero(mask)) for each segment of _segments(lo, limit).
+
+    The masks are sieved on a worker thread, one segment ahead: the
+    worker sieves segment k + 1 while this thread extracts mask k. Each
+    index array is a new array, so mask k's buffer is free as soon as it
+    is extracted; a semaphore that starts at 2 lets the worker start
+    segment k + 2 only then. A fault in the worker is raised here, after
+    the segments sieved before it. However the stream ends (exhausted,
+    closed early, or left by a consumer that raised), closing it stops
+    and joins the worker.
+    """
+    free = threading.Semaphore(2)
+    ready = threading.Semaphore(0)
+    handoff = []  # the worker appends, this thread pops from the front
+    stopped = False
+
+    def work() -> None:
+        try:
+            segments = _segments(lo, limit)
+            while True:
+                free.acquire()
+                if stopped:
+                    return
+                item = next(segments, None)
+                handoff.append(item)
+                ready.release()
+                if item is None:
+                    return
+        except BaseException as exc:  # raised again on the consumer's thread
+            handoff.append(exc)
+            ready.release()
+
+    worker = threading.Thread(target=work, name="gaplab-sieve", daemon=True)
+    worker.start()
+    try:
+        while True:
+            ready.acquire()
+            item = handoff.pop(0)
+            if item is None:
+                return
+            if isinstance(item, BaseException):
+                raise item
+            low, mask = item
+            odd = np.flatnonzero(mask)
+            free.release()
+            yield low, odd
+    finally:
+        stopped = True
+        free.release()
+        worker.join()
 
 
 def _prime_pi(x: int) -> int:
@@ -202,9 +263,10 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
     Args:
       limit: inclusive upper bound, >= 2.
       start: inclusive lower bound of the window (keyword-only).
-      threads: accepted and ignored (must be >= 1); segments are sieved
-        one after another. Kept only for perfbench/traced.py --speedup,
-        and removed together with its sieve.speedup_t2 metric.
+      threads: accepted and ignored (must be >= 1); every stream sieves
+        on one worker thread, one segment ahead of the caller, whatever
+        its value. Kept only for perfbench/traced.py --speedup, and
+        removed together with its sieve.speedup_t2 metric.
 
     Raises:
       ValueError: limit < 2 or threads < 1.
@@ -220,8 +282,7 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
         return
 
     count = _prime_pi(start - 1)
-    for low, mask in _segments(start, limit):
-        primes = np.flatnonzero(mask)
+    for low, primes in _sieve_ahead(start, limit):
         primes *= 2
         primes += low
         if low == 3 and start <= 2:

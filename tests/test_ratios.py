@@ -183,6 +183,8 @@ def _terms_violated_at(violations, n_max):
         {15},  # a chunk's last index
         {2, 8, 9, 22, 23},
         {16, 22},  # the first and last index of one chunk
+        {8, 15},  # the last index of two chunks, neither of them the final one
+        {15, 19},  # a last index, then a later chunk's middle
         {29, 30, 31},  # n_hi, wherever it ends its chunk
         set(range(2, 32)),  # every n
     ],

@@ -1,4 +1,6 @@
 import inspect
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gaplab.sieve as sieve
 from gaplab.errors import CapacityError
+import gaplab.gaps as gaps
 from gaplab.gaps import gpy_statistics, iter_gap_blocks, polignac_count
 from gaplab.ratios import gap_bound_report, prime_ratio_scan
 from gaplab.report import to_json
@@ -336,3 +339,117 @@ def test_stream_functions_are_segment_invariant(name, segment_size, set_segment_
     default = _EDGE_RUNS[name]()
     set_segment_size(segment_size)
     assert _EDGE_RUNS[name]() == default
+
+
+# ---------------------------------------------------------------------------
+# the worker thread that sieves one segment ahead
+
+
+def _inline_blocks(limit: int, start: int = 2) -> list[tuple[int, list[int]]]:
+    """sieve_primes's blocks from an inline drain of _segments, on this thread.
+
+    Each mask is checked unchanged after the next one is sieved: the
+    segments alternate between two buffers.
+    """
+    count = sieve._prime_pi(start - 1)
+    blocks, held = [], None
+    for low, mask in sieve._segments(start, limit):
+        if held is not None:
+            assert np.array_equal(held[0], held[1]), "mask k changed under segment k + 1"
+        held = (mask, mask.copy())
+        primes = np.flatnonzero(mask) * 2 + low
+        if low == 3 and start <= 2:
+            primes = np.concatenate([[2], primes])
+        if len(primes):
+            blocks.append((count + 1, primes.tolist()))
+            count += len(primes)
+    return blocks
+
+
+@pytest.mark.parametrize("segment_size", [64, 101, 4099])
+def test_worker_blocks_equal_an_inline_drain(segment_size, set_segment_size):
+    set_segment_size(segment_size)
+    for limit, start in [(200_000, 2), (200_000, 3), (200_000, 100_003), (3, 2), (10, 5)]:
+        blocks = [(b.start_index, b.primes.tolist()) for b in sieve_primes(limit, start=start)]
+        assert blocks == _inline_blocks(limit, start), (limit, start)
+
+
+def test_slow_consumer_reads_each_mask_before_it_is_reused(monkeypatch, set_segment_size):
+    # the consumer sleeps between receiving a mask and extracting it, so
+    # the worker sieves ahead meanwhile; with one buffer it would overwrite
+    # the mask being read
+    set_segment_size(64)
+    flatnonzero = np.flatnonzero
+
+    def slow_flatnonzero(mask):
+        time.sleep(0.002)
+        return flatnonzero(mask)
+
+    monkeypatch.setattr(sieve.np, "flatnonzero", slow_flatnonzero)
+    assert primes_upto(20_000).tolist() == dense_sieve(20_000)
+
+
+def _close_mid_stream():
+    stream = sieve_primes(10**6)
+    next(stream)
+    next(stream)
+    assert threading.active_count() >= 2  # the worker is running
+    stream.close()
+
+
+def _raise_in_consumer():
+    with pytest.raises(RuntimeError, match="consumer fault"):
+        for block in sieve_primes(10**6):
+            if block.start_index > 1000:
+                raise RuntimeError("consumer fault")
+
+
+def _widen_gap_window(monkeypatch):
+    # a floor above p_(n_lo) makes iter_gap_blocks drop its first stream
+    monkeypatch.setattr(gaps, "_nth_prime_floor", lambda n: 10**5)
+    assert next(iter_gap_blocks(10**6, n_lo=5))[0] <= 5
+
+
+@pytest.mark.parametrize(
+    "end",
+    [
+        lambda mp: _close_mid_stream(),
+        lambda mp: nth_prime(50_000),
+        lambda mp: _raise_in_consumer(),
+        lambda mp: sum(len(b) for b in sieve_primes(10**6)),
+        _widen_gap_window,
+    ],
+    ids=["close", "nth_prime", "consumer_raises", "exhausted", "iter_gap_blocks_retry"],
+)
+def test_no_worker_outlives_its_stream(end, monkeypatch, set_segment_size):
+    set_segment_size(4099)
+    before = threading.active_count()
+    end(monkeypatch)
+    assert threading.active_count() == before
+    assert not [t for t in threading.enumerate() if t.name == "gaplab-sieve"]
+
+
+def test_worker_fault_reaches_the_consumer_after_the_first_blocks(monkeypatch, set_segment_size):
+    class InjectedFault(Exception):
+        pass
+
+    segments = sieve._segments
+
+    def faulty(lo, limit):
+        for k, item in enumerate(segments(lo, limit)):
+            if k == 2:
+                raise InjectedFault("fault at the third segment")
+            yield item
+
+    set_segment_size(64)
+    expected = _inline_blocks(10_000)[:2]
+    monkeypatch.setattr(sieve, "_segments", faulty)
+    before = threading.active_count()
+    got = []
+    with pytest.raises(InjectedFault) as exc:
+        for block in sieve_primes(10_000):
+            got.append((block.start_index, block.primes.tolist()))
+    assert type(exc.value) is InjectedFault
+    assert str(exc.value) == "fault at the third segment"
+    assert got == expected
+    assert threading.active_count() == before
