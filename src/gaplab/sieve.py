@@ -204,6 +204,8 @@ def _sieve_ahead(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
             handoff.append(exc)
             ready.release()
 
+    # a daemon, because a stream left suspended until interpreter exit is
+    # closed only after the interpreter has waited for its other threads
     worker = threading.Thread(target=work, name="gaplab-sieve", daemon=True)
     worker.start()
     try:

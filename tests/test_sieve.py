@@ -1,6 +1,10 @@
 import inspect
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,3 +457,15 @@ def test_worker_fault_reaches_the_consumer_after_the_first_blocks(monkeypatch, s
     assert str(exc.value) == "fault at the third segment"
     assert got == expected
     assert threading.active_count() == before
+
+
+def test_a_suspended_stream_does_not_block_interpreter_exit():
+    package_root = str(Path(sieve.__file__).resolve().parent.parent)
+    code = "import gaplab.sieve as s\nstream = s.sieve_primes(10**8)\nnext(stream)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
