@@ -86,13 +86,15 @@ def iter_gap_blocks(limit: int, n_lo: int = 1) -> Iterator[tuple[int, np.ndarray
     if limit < 3:
         raise ValueError(f"limit must be >= 3 to contain a prime pair, got {limit}")
     lo = _nth_prime_floor(n_lo)
+    if lo > limit and _prime_pi(limit) < n_lo:
+        return  # p_(n_lo) >= lo > limit: nothing to sieve
     while True:
         blocks = sieve_primes(limit, start=lo)
         block = next(blocks, None)
         if block is not None and block.start_index <= n_lo:
             break
-        if block is None and _prime_pi(lo - 1) < n_lo:
-            return  # no prime in [lo, limit], and p_(n_lo) >= lo
+        if block is None and _prime_pi(limit) < n_lo:
+            return  # no prime in [lo, limit], and p_(n_lo) > limit
         lo //= 2
     n0 = block.start_index
     for after in blocks:

@@ -43,7 +43,6 @@ from .expr import (
     parse_sequence,
 )
 from .gaps import _dyadic_range, _split_at, iter_gap_blocks
-from .sieve import _nth_prime_floor
 
 __all__ = [
     "RatioDiagnostics",
@@ -222,11 +221,6 @@ class ComparisonResult:
     @property
     def holds_on_range(self) -> bool:
         return self.violation_count == 0
-
-    def summary(self) -> str:
-        if self.holds_on_range:
-            return "holds on range"
-        return f"first violation at n={self.first_violation}"
 
 
 # The float lane's chunk, in terms. Each of its float64 temporaries is then
@@ -589,10 +583,7 @@ def prime_ratio_scan(
     bl_out: list[np.ndarray] = []
     n_hi = 0
 
-    # p_(n_lo) is at least its floor, so a floor above limit leaves no pair
-    # to scan and nothing is sieved
-    pairs = iter_gap_blocks(limit, n_lo) if _nth_prime_floor(n_lo) <= limit else ()
-    for n0, (p, g), _cut in _split_at(pairs, [n_lo - 1]):
+    for n0, (p, g), _cut in _split_at(iter_gap_blocks(limit, n_lo), [n_lo - 1]):
         n_hi = n0 + len(p) - 1
         if n0 < n_lo:
             continue

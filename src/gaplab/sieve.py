@@ -25,12 +25,13 @@ Every segment covers DEFAULT_SEGMENT_SIZE odd numbers, which no caller
 sets: the prime stream and every output are the same at any segment
 size, and the tests place segment edges by patching this constant.
 Carried offsets make the kernel sequential, so segments are never sieved
-side by side. Instead each stream runs the kernel on one worker thread,
-one segment ahead of its consumer: while the worker clears the next
-bitmap (strided writes, which hold the interpreter lock), the consumer
-extracts the primes of the current one (np.flatnonzero, which releases
-it) and runs its own stage. The blocks are the same as from an inline
-drain, so no function here needs a thread count.
+side by side. Instead each stream runs the kernel on a one-worker
+concurrent.futures executor, one segment ahead of its consumer: while
+the worker clears the next bitmap (strided writes, which hold the
+interpreter lock), the consumer extracts the primes of the current one
+(np.flatnonzero, which releases it) and runs its own stage. The blocks
+are the same as from an inline drain, so no function here needs a
+thread count.
 
 See Bays & Hudson, BIT 17 (1977), and Oliveira e Silva, Herzog & Pardi,
 Math. Comp. 83 (2014), for the segmented sieve with a pre-sieve; and
@@ -41,7 +42,7 @@ Legendre sums.
 from __future__ import annotations
 
 import math
-import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
@@ -130,7 +131,9 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
     mask[i] is True iff low + 2i is prime. The segments alternate between
     two buffers, so mask k is overwritten by segment k + 2: a consumer
     reads it before asking for mask k + 2, and may have mask k + 1
-    sieved while it still reads mask k (as _sieve_ahead does).
+    sieved while it still reads mask k. _sieve_ahead does both: its
+    executor sieves mask k + 1 during the read, and segment k + 2 is
+    submitted only after it.
     """
     first = max(lo | 1, 3)
     if first > limit:
@@ -174,56 +177,30 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
 def _sieve_ahead(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (low, np.flatnonzero(mask)) for each segment of _segments(lo, limit).
 
-    The masks are sieved on a worker thread, one segment ahead: the
-    worker sieves segment k + 1 while this thread extracts mask k. Each
-    index array is a new array, so mask k's buffer is free as soon as it
-    is extracted; a semaphore that starts at 2 lets the worker start
-    segment k + 2 only then. A fault in the worker is raised here, after
-    the segments sieved before it. However the stream ends (exhausted,
-    closed early, or left by a consumer that raised), closing it stops
-    and joins the worker.
+    The masks are sieved on a one-worker executor, one segment ahead: the
+    worker sieves segment k + 1 while this thread extracts mask k. Two
+    segments are queued at a time, and segment k + 2, which reuses mask
+    k's buffer, is queued only after mask k is extracted into a new
+    array. A fault in the worker is raised here by result(), after the
+    segments sieved before it. However the stream ends (exhausted, closed
+    early, or left by a consumer that raised), closing it cancels what is
+    queued and joins the worker.
     """
-    free = threading.Semaphore(2)
-    ready = threading.Semaphore(0)
-    handoff = []  # the worker appends, this thread pops from the front
-    stopped = False
+    # imported here, not at the top: concurrent.futures pulls in logging
+    # (about 5 ms and 0.7 MB), and gaplab bounds never starts a stream
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work() -> None:
-        try:
-            segments = _segments(lo, limit)
-            while True:
-                free.acquire()
-                if stopped:
-                    return
-                item = next(segments, None)
-                handoff.append(item)
-                ready.release()
-                if item is None:
-                    return
-        except BaseException as exc:  # raised again on the consumer's thread
-            handoff.append(exc)
-            ready.release()
-
-    # a daemon, because a stream left suspended until interpreter exit is
-    # closed only after the interpreter has waited for its other threads
-    worker = threading.Thread(target=work, name="gaplab-sieve", daemon=True)
-    worker.start()
+    segments = _segments(lo, limit)
+    pool = ThreadPoolExecutor(1, thread_name_prefix="gaplab-sieve")
     try:
-        while True:
-            ready.acquire()
-            item = handoff.pop(0)
-            if item is None:
-                return
-            if isinstance(item, BaseException):
-                raise item
+        ahead = deque(pool.submit(next, segments, None) for _ in range(2))
+        while (item := ahead.popleft().result()) is not None:
             low, mask = item
             odd = np.flatnonzero(mask)
-            free.release()
+            ahead.append(pool.submit(next, segments, None))
             yield low, odd
     finally:
-        stopped = True
-        free.release()
-        worker.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _prime_pi(x: int) -> int:

@@ -78,6 +78,22 @@ def test_gap_window_starts_at_or_below_n_lo(monkeypatch, oracle_primes_1m, set_s
     assert list(iter_gap_blocks(limit, len(records) + 2)) == []
 
 
+def test_n_lo_beyond_the_limit_counts_no_prime_above_it(monkeypatch):
+    # p_(10^5) is far above 10^4: pi is taken at the limit, never at the
+    # floor of p_(n_lo), whose Lucy recursion grows with sqrt(floor)
+    prime_pi = gaps._prime_pi
+    args = []
+
+    def recording_pi(x):
+        args.append(x)
+        return prime_pi(x)
+
+    monkeypatch.setattr(gaps, "_prime_pi", recording_pi)
+    limit = 10**4
+    assert list(iter_gap_blocks(limit, 10**5)) == []
+    assert args and max(args) <= limit
+
+
 def test_iter_gap_blocks_requires_a_pair():
     with pytest.raises(ValueError):
         next(iter_gap_blocks(2))

@@ -122,7 +122,6 @@ def test_extrapolation_table_carries_differences():
 def test_comparison_equal_sequences_hold_trivially():
     res = ratio_comparison(expr("1/n"), expr("1/n"), 2, 500)
     assert res.holds_on_range
-    assert res.summary() == "holds on range"
 
 
 def test_comparison_inverse_square_dominates_harmonic():
@@ -134,7 +133,6 @@ def test_comparison_first_violation_is_reported():
     res = ratio_comparison(expr("1/n"), expr("1/(n^2)"), 2, 100)
     assert not res.holds_on_range
     assert res.first_violation == 2
-    assert res.summary() == "first violation at n=2"
 
 
 def test_comparison_range_validation():

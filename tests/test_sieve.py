@@ -430,7 +430,7 @@ def test_no_worker_outlives_its_stream(end, monkeypatch, set_segment_size):
     before = threading.active_count()
     end(monkeypatch)
     assert threading.active_count() == before
-    assert not [t for t in threading.enumerate() if t.name == "gaplab-sieve"]
+    assert not [t for t in threading.enumerate() if t.name.startswith("gaplab-sieve")]
 
 
 def test_worker_fault_reaches_the_consumer_after_the_first_blocks(monkeypatch, set_segment_size):
