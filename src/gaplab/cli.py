@@ -277,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     except ExprSyntaxError as exc:
         _emit_error(exc)
         return 2
-    except (ValueError, ArithmeticError, OverflowError, TypeError, OSError) as exc:
+    except (ValueError, ArithmeticError, OverflowError, TypeError, OSError, MemoryError) as exc:
+        # numpy's failed allocations raise a MemoryError subclass
         _emit_error(exc)
         return 1
 

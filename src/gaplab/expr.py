@@ -17,23 +17,25 @@ an untestable extension.
 Evaluation is one tree walk run in two lanes. eval_sequence_mp computes
 one value through mpmath at extended precision; eval_array is the float64
 bulk lane used for partial sums and range comparisons over millions of
-indices. A lane supplies four primitives (constant, ln, power, floor); the
-walk owns the arithmetic and the four faults (ln of a nonpositive
-argument, division by zero, a fractional power of a negative base, zero
-raised to a negative power), each tested per index and reported at the
-first offending one. So (n-5)^(n/2) is fine at n = 4, where (-1)^2 is an
-integer power, and fails at n = 3 in either lane. The mpmath power
-saturates to inf or 0 past a log-magnitude of 2^64, so a power tower
-fails "not finite" in both lanes instead of running for ever.
+indices. mpmath is imported on the first exact evaluation, so a run that
+stays in float64 never loads it. A lane supplies four primitives
+(constant, ln, power, floor); the walk owns the arithmetic and the four
+faults (ln of a nonpositive argument, division by zero, a fractional
+power of a negative base, zero raised to a negative power), each tested
+per index and reported at the first offending one. So (n-5)^(n/2) is
+fine at n = 4, where (-1)^2 is an integer power, and fails at n = 3 in
+either lane. The mpmath power saturates to inf or 0 past a
+log-magnitude of 2^64, so a power tower fails "not finite" in both lanes
+instead of running for ever.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Union
 
-import mpmath
 import numpy as np
 
 from .errors import EvalError, ExprSyntaxError, PositivityError, UnknownIdentifierError
@@ -377,6 +379,8 @@ _MP_LOG_CAP = 2**64
 
 
 def _mp_power(base, expo):
+    import mpmath
+
     # IEEE pow, as numpy's, makes (+-1)^(+-inf) 1; mpmath makes it nan
     if abs(base) == 1 and mpmath.isinf(expo):
         return mpmath.mpf(1)
@@ -389,12 +393,19 @@ def _mp_power(base, expo):
     return mpmath.power(base, expo)
 
 
-_MP = _Lane(
-    const=lambda q: mpmath.mpf(q.numerator) / q.denominator,
-    ln=mpmath.ln,
-    power=_mp_power,
-    floor=mpmath.floor,
-)
+@functools.cache
+def _mp_lane() -> _Lane:
+    """The mpmath lane, built on the first exact evaluation."""
+    import mpmath
+
+    return _Lane(
+        const=lambda q: mpmath.mpf(q.numerator) / q.denominator,
+        ln=mpmath.ln,
+        power=_mp_power,
+        floor=mpmath.floor,
+    )
+
+
 _NP = _Lane(const=float, ln=np.log, power=_np_power, floor=np.floor)
 
 
@@ -461,10 +472,15 @@ def eval_sequence_mp(expr: SequenceExpr, n: int):
     Nonpositive results raise PositivityError: the sequences this library
     analyzes must have positive terms.
     """
+    # imported here, not at the top: mpmath costs a child about 15 ms and
+    # 4 MB after numpy, and only the exact lane uses it (gaplab bounds,
+    # gaps and a scan with no recheck never do)
+    import mpmath
+
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
     with mpmath.workdps(EVAL_DPS):
-        val = _eval(expr, mpmath.mpf(n), [n], _MP)
+        val = _eval(expr, mpmath.mpf(n), [n], _mp_lane())
         if not mpmath.isfinite(val):
             raise EvalError(
                 f"evaluation of '{format_sequence(expr)}' is not finite at n={n}",

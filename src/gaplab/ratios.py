@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-import mpmath
 import numpy as np
 
 from .accum import exact_block_sum, rounded_partial_sum
@@ -91,6 +90,10 @@ def ratio_excess(expr: SequenceExpr, n: int) -> float:
     Requires n >= 2 (n ln n vanishes at 1) and positive values at n and
     n + 1.
     """
+    # imported here, not at the top, as in expr.eval_sequence_mp: only the
+    # exact lane pays for mpmath
+    import mpmath
+
     if n < 2:
         raise ValueError(f"ratio excess needs n >= 2, got {n}")
     with mpmath.workdps(EXCESS_DPS):
@@ -518,6 +521,10 @@ def _recheck_mp(n: int, p: int, g: int, r: float, epsilon: float) -> tuple[bool,
     Returns (is_hit, is_borderline). The left side p_{n+1}/p_n is an
     exact rational; only ln needs rounding, at SCAN_DPS digits.
     """
+    # imported here, not at the top: a scan that rechecks no pair never
+    # loads mpmath
+    import mpmath
+
     with mpmath.workdps(SCAN_DPS):
         lhs = mpmath.mpf(p + g) / p
         rhs = 1 + (mpmath.mpf(r) + mpmath.mpf(epsilon)) / (n * mpmath.ln(n))

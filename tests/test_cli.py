@@ -9,6 +9,7 @@ import pytest
 
 import gaplab
 import gaplab.cli as cli
+import gaplab.ratios as ratios
 from gaplab.cli import RunConfig, UsageError, main, run
 from gaplab.sieve import primes_upto, read_prime_dump
 
@@ -211,6 +212,19 @@ def test_computation_errors_exit_1(capsys):
     assert error["message"] == "partial sum at n=2097152 exceeds the float range"
 
 
+def test_memory_error_is_a_json_computation_error(capsys, monkeypatch):
+    # numpy raises _ArrayMemoryError, a MemoryError, when an allocation fails
+    def exhausted():
+        raise MemoryError("Unable to allocate 763. MiB for an array")
+
+    monkeypatch.setattr(cli, "literature_bounds", exhausted)
+    code, out, err = invoke(["bounds"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": {"type": "MemoryError", "message": "Unable to allocate 763. MiB for an array"}
+    }
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"limit": 10, "format": "csv"}))
@@ -291,16 +305,71 @@ def test_stdout_dash_is_stdout(capsys):
 
 
 def run_child(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    return run_python(["-m", "gaplab", *args], **kwargs)
+
+
+def run_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
     # the child must import the gaplab under test, installed or not
     package_root = str(Path(gaplab.__file__).resolve().parent.parent)
     child_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "gaplab", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": child_path},
         **kwargs,
     )
+
+
+# Runs main(argv) as `python -m gaplab` does, with the artifact discarded,
+# then prints which of the deferred modules the command loaded.
+_LOADED_BY_MAIN = """
+import json, os, sys
+from gaplab.cli import main
+code = main([*sys.argv[1:], "--out", os.devnull])
+print(json.dumps([code, [m for m in ("mpmath", "concurrent.futures") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        pytest.param(argv, loaded, id=argv[0])
+        for argv, loaded in [
+            (["bounds"], []),
+            (["parse", "--expr", "1/(n*ln(n)^2)"], []),
+            (["gaps", "--limit", "1000"], ["concurrent.futures"]),
+            (["series", "--limit", "1000"], ["concurrent.futures"]),
+            (["sieve", "--limit", "1000"], ["concurrent.futures"]),
+            # every hit at r = 2 to 1e5 is decided in float64, with no recheck
+            (["scan", "--r", "2", "--limit", "100000"], ["concurrent.futures"]),
+            (["star", "--expr", "1/(n*ln(n)^2)", "--r", "1", "--n-max", "1024"], ["mpmath"]),
+        ]
+    ],
+)
+def test_each_command_loads_only_the_deferred_modules_it_uses(argv, loaded):
+    # mpmath is the exact lane's, and a prime stream's read-ahead needs
+    # concurrent.futures: a command that uses neither must not pay to import it
+    proc = run_python(["-c", _LOADED_BY_MAIN, *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, loaded]
+
+
+def test_a_recheck_in_a_fresh_interpreter_loads_mpmath():
+    # a knife-edge pair: r sits 1e-13 relative above the pair's own excess
+    args = (1000, 7919, 8, 6.9784116974191965, 0.0)
+    code = (
+        "import json, sys\n"
+        "from gaplab.ratios import _recheck_mp\n"
+        "before = 'mpmath' in sys.modules\n"
+        f"pair = _recheck_mp(*{args!r})\n"
+        "print(json.dumps([before, 'mpmath' in sys.modules, pair]))\n"
+    )
+    in_process = ratios._recheck_mp(*args)
+    assert in_process == (True, True)
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True, list(in_process)]
 
 
 def test_console_entry_point_runs():
