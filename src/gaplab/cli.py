@@ -271,10 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         return run(config)
-    except UsageError as exc:
-        _emit_error(exc)
-        return 2
-    except ExprSyntaxError as exc:
+    except (UsageError, ExprSyntaxError) as exc:
+        # ahead of ValueError, which both subclass
         _emit_error(exc)
         return 2
     except (ValueError, ArithmeticError, OverflowError, TypeError, OSError, MemoryError) as exc:

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .sieve import _nth_prime_floor, _prime_pi, sieve_primes
+from .sieve import _nth_prime_floor, sieve_primes
 
 __all__ = [
     "GapStats",
@@ -74,10 +74,9 @@ def iter_gap_blocks(limit: int, n_lo: int = 1) -> Iterator[tuple[int, np.ndarray
     """Yield (n0, p, g) arrays: p[i] = p_(n0+i), g[i] = p_(n0+i+1) - p[i].
 
     Covers, in index order, the pairs with p_next <= limit from an index
-    n0 <= n_lo on. The primes are sieved only from lo, the float lower
-    bound _nth_prime_floor(n_lo), so pairs below n_lo may be missing. The
-    first block's index is checked against n_lo, and lo steps down if
-    rounding put it above p_(n_lo), so no pair from n_lo on is skipped.
+    n0 <= n_lo on. The primes are sieved only from the proven lower bound
+    _nth_prime_floor(n_lo) <= p_(n_lo), so pairs below n_lo may be
+    missing, and none from n_lo on is.
 
     p is the sieve block's own read-only array (without its last prime in
     the final block), so nothing is copied; only g is built, and a block's
@@ -86,16 +85,12 @@ def iter_gap_blocks(limit: int, n_lo: int = 1) -> Iterator[tuple[int, np.ndarray
     if limit < 3:
         raise ValueError(f"limit must be >= 3 to contain a prime pair, got {limit}")
     lo = _nth_prime_floor(n_lo)
-    if lo > limit and _prime_pi(limit) < n_lo:
+    if lo > limit:
         return  # p_(n_lo) >= lo > limit: nothing to sieve
-    while True:
-        blocks = sieve_primes(limit, start=lo)
-        block = next(blocks, None)
-        if block is not None and block.start_index <= n_lo:
-            break
-        if block is None and _prime_pi(limit) < n_lo:
-            return  # no prime in [lo, limit], and p_(n_lo) > limit
-        lo //= 2
+    blocks = sieve_primes(limit, start=lo)
+    block = next(blocks, None)
+    if block is None:
+        return  # no prime in [lo, limit], so p_(n_lo) > limit
     n0 = block.start_index
     for after in blocks:
         p = block.primes

@@ -572,22 +572,14 @@ def prime_ratio_scan(
 
     Each piece keeps only the pairs with g_n <= _gap_cap(n0, r + epsilon),
     n0 its first index, and computes thr, the margin and the recheck test
-    on those alone. The cap rests on Rosser's bound
-    p_n < n (ln n + ln ln n), which gives thr < (r + epsilon)(1 + ln ln n / ln n),
-    and on that factor falling for n > e^e ~ 15.15: below n0 = 16 its value
-    at n0 does not bound the rest of the piece, so the cap there is inf
-    and the piece keeps every pair.
+    on those alone (the Rosser argument for the cap is in _gap_cap).
     """
     _check_strength(r, epsilon)
     if n_lo < 2:
         raise ValueError(f"n ln n vanishes at n = 1: scan must start at n_lo >= 2, got {n_lo}")
 
     strength = r + epsilon
-    ns_out: list[np.ndarray] = []
-    ps_out: list[np.ndarray] = []
-    gs_out: list[np.ndarray] = []
-    th_out: list[np.ndarray] = []
-    bl_out: list[np.ndarray] = []
+    pieces: list[tuple[np.ndarray, ...]] = []
     n_hi = 0
 
     for n0, (p, g), _cut in _split_at(iter_gap_blocks(limit, n_lo), [n_lo - 1]):
@@ -611,23 +603,15 @@ def prime_ratio_scan(
             is_hit[idx] = hit
             borderline[idx] = near
 
-        if is_hit.any():
-            ns_out.append(ns[is_hit])
-            ps_out.append(p[is_hit])
-            gs_out.append(g[is_hit])
-            th_out.append(thr[is_hit])
-            bl_out.append(borderline[is_hit])
+        pieces.append((ns[is_hit], p[is_hit], g[is_hit], thr[is_hit], borderline[is_hit]))
 
     if n_hi < n_lo:
         raise ValueError(
             f"limit {limit} is too small to contain the prime pair at index {n_lo}"
         )
 
-    hits_n = np.concatenate(ns_out) if ns_out else np.zeros(0, dtype=np.int64)
-    hits_p = np.concatenate(ps_out) if ps_out else np.zeros(0, dtype=np.int64)
-    hits_g = np.concatenate(gs_out) if gs_out else np.zeros(0, dtype=np.int64)
-    hits_t = np.concatenate(th_out) if th_out else np.zeros(0, dtype=np.float64)
-    hits_b = np.concatenate(bl_out) if bl_out else np.zeros(0, dtype=bool)
+    # n_hi >= n_lo leaves at least one piece, and an empty one keeps its dtypes
+    hits_n, hits_p, hits_g, hits_t, hits_b = (np.concatenate(c) for c in zip(*pieces))
 
     tail: list[tuple[int, int]] = []
     if len(hits_n):

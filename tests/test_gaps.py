@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaplab.gaps as gaps
+import gaplab.sieve as sieve
 from gaplab.gaps import (
     _normalized_minima,
     _split_at,
@@ -55,43 +56,35 @@ def test_iter_gap_blocks_with_one_prime_per_block(oracle_primes_1m, set_segment_
         assert not p.flags.writeable
 
 
-def test_gap_window_starts_at_or_below_n_lo(monkeypatch, oracle_primes_1m, set_segment_size):
+def test_gap_window_starts_at_or_below_n_lo(oracle_primes_1m, set_segment_size):
     set_segment_size(64)
     limit = 2 * 10**4  # 19,999 = 7 * 2857 and 20,000 are not prime
     records = gap_records(oracle_primes_1m, limit)
-    n_los = [1, 2, 3, 10, 100, 1000, 2000, len(records)]
-
-    def check():
-        for n_lo in n_los:
-            window = _block_records(limit, n_lo)
-            assert window[0][0] <= n_lo
-            assert window == records[window[0][0] - 1 :], n_lo
-
-    check()
-    # a floor a few primes above p_(n_lo), as float rounding could give;
-    # then one whose window [floor, limit] holds no prime
-    monkeypatch.setattr(gaps, "_nth_prime_floor", lambda n: oracle_primes_1m[n + 2])
-    check()
-    monkeypatch.setattr(gaps, "_nth_prime_floor", lambda n: limit - 1)
-    check()
-    # p_(n_lo) lies above limit and the window holds no prime: no pair at all
-    assert list(iter_gap_blocks(limit, len(records) + 2)) == []
+    for n_lo in [1, 2, 3, 10, 100, 1000, 2000, len(records)]:
+        window = _block_records(limit, n_lo)
+        assert window[0][0] <= n_lo
+        assert window == records[window[0][0] - 1 :], n_lo
+    # p_(n_lo) lies above limit, but its floor does not: the window's
+    # pairs, all below n_lo, are the oracle's last ones
+    n_lo = len(records) + 2
+    window = _block_records(limit, n_lo)
+    assert window and window[-1][0] < n_lo
+    assert window == records[window[0][0] - 1 :]
 
 
 def test_n_lo_beyond_the_limit_counts_no_prime_above_it(monkeypatch):
-    # p_(10^5) is far above 10^4: pi is taken at the limit, never at the
-    # floor of p_(n_lo), whose Lucy recursion grows with sqrt(floor)
-    prime_pi = gaps._prime_pi
+    # the floor of p_(10^5) is far above 10^4, so the window is empty
+    # before any pi is taken
+    prime_pi = sieve._prime_pi
     args = []
 
     def recording_pi(x):
         args.append(x)
         return prime_pi(x)
 
-    monkeypatch.setattr(gaps, "_prime_pi", recording_pi)
-    limit = 10**4
-    assert list(iter_gap_blocks(limit, 10**5)) == []
-    assert args and max(args) <= limit
+    monkeypatch.setattr(sieve, "_prime_pi", recording_pi)
+    assert list(iter_gap_blocks(10**4, 10**5)) == []
+    assert args == []
 
 
 def test_iter_gap_blocks_requires_a_pair():

@@ -558,6 +558,10 @@ def test_weak_strength_yields_no_hits():
     assert report.hit_count == 0
     assert report.min_gap_among_hits is None
     assert report.tail_min_gap == []
+    columns = [
+        report.hits_n, report.hits_p, report.hits_gap, report.hits_threshold, report.hits_borderline
+    ]
+    assert [c.dtype for c in columns] == [np.int64, np.int64, np.int64, np.float64, np.bool_]
 
 
 def test_scan_validation():

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import gaplab.sieve as sieve
 from gaplab.errors import CapacityError
-import gaplab.gaps as gaps
 from gaplab.gaps import gpy_statistics, iter_gap_blocks, polignac_count
 from gaplab.ratios import gap_bound_report, prime_ratio_scan
 from gaplab.report import to_json
@@ -264,15 +263,30 @@ def test_nth_prime_floor_is_below_every_prime(oracle_primes_1m):
         assert sieve._nth_prime_floor(n) <= p
 
 
-def test_nth_prime_widens_a_floor_above_p_n(monkeypatch, oracle_primes_1m):
-    # floors past p_n, as float rounding could give, then a floor at the
-    # upper bound, whose window holds no prime at all
-    for shift in (1, 30):
-        monkeypatch.setattr(sieve, "_nth_prime_floor", lambda n: oracle_primes_1m[n - 1 + shift])
-        for n in (1, 2, 10, 1000, 17_984):
-            assert nth_prime(n) == oracle_primes_1m[n - 1], (shift, n)
-    monkeypatch.setattr(sieve, "_nth_prime_floor", lambda n: sieve._nth_prime_bound(n))
-    assert nth_prime(1000) == 7919
+# p_(10^k) for k = 6..17 (OEIS A006988)
+_PUBLISHED_P = {
+    6: 15_485_863,
+    7: 179_424_673,
+    8: 2_038_074_743,
+    9: 22_801_763_489,
+    10: 252_097_800_623,
+    11: 2_760_727_302_517,
+    12: 29_996_224_275_833,
+    13: 323_780_508_946_331,
+    14: 3_475_385_758_524_527,
+    15: 37_124_508_045_065_437,
+    16: 394_906_913_903_735_329,
+    17: 4_185_296_581_467_695_669,
+}
+
+
+@pytest.mark.parametrize("k", sorted(_PUBLISHED_P))
+def test_window_bounds_hold_at_published_primes(k):
+    # the floor sits 1.0e-3 to 2.9e-3 below p, far beyond its float error
+    n, p = 10**k, _PUBLISHED_P[k]
+    floor, bound = sieve._nth_prime_floor(n), sieve._nth_prime_bound(n)
+    assert floor < p < bound
+    assert p - floor >= 5e-4 * p
 
 
 def test_threads_is_validated_and_ignored():
@@ -408,27 +422,20 @@ def _raise_in_consumer():
                 raise RuntimeError("consumer fault")
 
 
-def _widen_gap_window(monkeypatch):
-    # a floor above p_(n_lo) makes iter_gap_blocks drop its first stream
-    monkeypatch.setattr(gaps, "_nth_prime_floor", lambda n: 10**5)
-    assert next(iter_gap_blocks(10**6, n_lo=5))[0] <= 5
-
-
 @pytest.mark.parametrize(
     "end",
     [
-        lambda mp: _close_mid_stream(),
-        lambda mp: nth_prime(50_000),
-        lambda mp: _raise_in_consumer(),
-        lambda mp: sum(len(b) for b in sieve_primes(10**6)),
-        _widen_gap_window,
+        _close_mid_stream,
+        lambda: nth_prime(50_000),
+        _raise_in_consumer,
+        lambda: sum(len(b) for b in sieve_primes(10**6)),
     ],
-    ids=["close", "nth_prime", "consumer_raises", "exhausted", "iter_gap_blocks_retry"],
+    ids=["close", "nth_prime", "consumer_raises", "exhausted"],
 )
-def test_no_worker_outlives_its_stream(end, monkeypatch, set_segment_size):
+def test_no_worker_outlives_its_stream(end, set_segment_size):
     set_segment_size(4099)
     before = threading.active_count()
-    end(monkeypatch)
+    end()
     assert threading.active_count() == before
     assert not [t for t in threading.enumerate() if t.name.startswith("gaplab-sieve")]
 
