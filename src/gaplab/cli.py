@@ -119,38 +119,42 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-# integers below the limit that the summary sieves first for the last prime
+# A summary alone sieves [limit - width, limit] with
+# width = max(_SUMMARY_WINDOW, ceil(limit / _RAMARE_SAOUTER)), and that
+# window always holds a prime. For limit <= 4,098 it reaches 2. Below
+# 10,726,905,041 no prime gap exceeds 382, and the maximal gap 382 ends
+# exactly there (maximal-gap tables: Young & Potler 1989; Oliveira e Silva,
+# Herzog & Pardi, Math. Comp. 83, 2014). From there on every interval
+# (x(1 - 1/28,313,999), x] holds a prime (Ramaré & Saouter, J. Number
+# Theory 98, 2003). The width passes 4,096 only above 1.16e11, where
+# pi(limit) dominates the run: at 1e12 it is 35,319, one segment.
 _SUMMARY_WINDOW = 4096
+_RAMARE_SAOUTER = 28_313_999
 
 
 def _sieve_artifact(config: RunConfig):
-    """One pass over the primes feeds the summary, the CSV rows and the dump.
+    """One sieve_primes pass feeds the summary, the CSV rows and the dump.
 
-    A summary with no dump sieves only a short window below the limit:
+    The CSV and the dump need every prime, so they start at 2; a summary
+    alone sieves only the theorem-sized window below the limit (see the
+    comment above). Either way the summary is read from the last block:
     the index of its last prime is the count.
     """
     keep = config.format == "csv"
-    if not (keep or config.dump):
-        width, blocks = _SUMMARY_WINDOW, []
-        while not blocks:  # widen until the window holds a prime
-            blocks = list(sieve_primes(config.limit, start=max(2, config.limit - width)))
-            width *= 2
-        count = blocks[-1].start_index + len(blocks[-1]) - 1
-        last = int(blocks[-1].primes[-1])
-        return SieveSummary(limit=config.limit, prime_count=count, last_prime=last)
+    limit = config.limit
+    width = max(_SUMMARY_WINDOW, -(-limit // _RAMARE_SAOUTER))
+    start = 2 if keep or config.dump else max(2, limit - width)
     kept = []
-    count = last = 0
     with open(config.dump, "wb") if config.dump else nullcontext() as dump:
-        for block in sieve_primes(config.limit):
+        for block in sieve_primes(limit, start=start):
             if dump:
                 write_dump_block(dump, block)
             if keep:
                 kept.append(block.primes)
-            count += len(block)
-            last = int(block.primes[-1])
     if keep:
         return np.concatenate(kept)
-    return SieveSummary(limit=config.limit, prime_count=count, last_prime=last)
+    count = block.start_index + len(block) - 1
+    return SieveSummary(limit=limit, prime_count=count, last_prime=int(block.primes[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -469,8 +469,9 @@ def _eval(node: SequenceExpr, x, ns, lane: _Lane):
 def eval_sequence_mp(expr: SequenceExpr, n: int):
     """Evaluate at integer n >= 1 in extended precision; returns an mpf.
 
-    Nonpositive results raise PositivityError: the sequences this library
-    analyzes must have positive terms.
+    The precision is EVAL_DPS digits, or the caller's mpmath precision
+    where that is higher. Nonpositive results raise PositivityError: the
+    sequences this library analyzes must have positive terms.
     """
     # imported here, not at the top: mpmath costs a child about 15 ms and
     # 4 MB after numpy, and only the exact lane uses it (gaplab bounds,
@@ -479,7 +480,7 @@ def eval_sequence_mp(expr: SequenceExpr, n: int):
 
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
-    with mpmath.workdps(EVAL_DPS):
+    with mpmath.workdps(max(EVAL_DPS, mpmath.mp.dps)):
         val = _eval(expr, mpmath.mpf(n), [n], _mp_lane())
         if not mpmath.isfinite(val):
             raise EvalError(

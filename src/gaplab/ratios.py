@@ -64,7 +64,7 @@ __all__ = [
 CONVERGENT_REFERENCE = "1/(n*ln(n)^2)"
 DIVERGENT_REFERENCE = "1/(n*ln(n))"
 
-EXCESS_DPS = 35          # working precision for scalar excess samples
+EXCESS_DPS = 35          # scalar excess samples work at this plus n ln n's digits
 SCAN_DPS = 40            # working precision for borderline scan re-checks
 DECAY_WINDOW = 6         # dyadic difference ratios inspected for decay
 DECAY_FACTOR = 1.5       # required shrink factor per doubling
@@ -96,7 +96,10 @@ def ratio_excess(expr: SequenceExpr, n: int) -> float:
 
     if n < 2:
         raise ValueError(f"ratio excess needs n >= 2, got {n}")
-    with mpmath.workdps(EXCESS_DPS):
+    # b(n)/b(n+1) - 1 is about 1/(n ln n), so the subtraction cancels the
+    # decimal digits of n ln n: work with that many more than EXCESS_DPS
+    digits = math.ceil(math.log10(n) + math.log10(math.log(n)))
+    with mpmath.workdps(EXCESS_DPS + digits):
         v1 = eval_sequence_mp(expr, n)
         v2 = eval_sequence_mp(expr, n + 1)
         nn = mpmath.mpf(n)

@@ -11,9 +11,9 @@ import gaplab
 import gaplab.cli as cli
 import gaplab.ratios as ratios
 from gaplab.cli import RunConfig, UsageError, main, run
-from gaplab.sieve import primes_upto, read_prime_dump
+from gaplab.sieve import PrimeBlock, prime_count, primes_upto, read_prime_dump
 
-from oracles import count_gaps
+from oracles import count_gaps, is_prime
 
 
 def invoke(argv, capsys):
@@ -92,22 +92,61 @@ def test_sieve_summary_reads_a_short_window(capsys, monkeypatch, segment_size, s
 
     monkeypatch.setattr(cli, "sieve_primes", recorded)
     primes = primes_upto(2 * 10**5)
-    # a limit just below the prime that ends one of the widest gaps leaves
-    # a narrow window with no prime, so the summary must widen it
+    # limits just below the primes that end the widest gaps, where the
+    # window reaches furthest back for its last prime
     widest = np.argsort(-np.diff(primes), kind="stable")[:4]
-    limits = [int(primes[i + 1]) - 1 for i in widest] + [2, 3, 4, 2 * 10**5]
+    limits = [int(primes[i + 1]) - 1 for i in widest] + [2, 3, 4, 4098, 4099, 2 * 10**5]
     set_segment_size(segment_size)
-    for width in (cli._SUMMARY_WINDOW, 1):
-        monkeypatch.setattr(cli, "_SUMMARY_WINDOW", width)
-        for limit in limits:
-            starts.clear()
-            code, out, _ = invoke(["sieve", "--limit", str(limit)], capsys)
-            below = primes[primes <= limit]
-            doc = json.loads(out)
-            assert code == 0
-            assert (doc["prime_count"], doc["last_prime"]) == (len(below), int(below[-1])), limit
-            # no window is wider than twice the stretch above the last prime
-            assert limit - min(starts) <= max(width, 2 * (limit - int(below[-1]))), limit
+    for limit in limits:
+        starts.clear()
+        code, out, _ = invoke(["sieve", "--limit", str(limit)], capsys)
+        below = primes[primes <= limit]
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["prime_count"], doc["last_prime"]) == (len(below), int(below[-1])), limit
+        # below 1.16e11 the window is _SUMMARY_WINDOW wide
+        assert starts == [max(2, limit - cli._SUMMARY_WINDOW)], limit
+
+
+def test_sieve_summary_below_the_maximal_gap_382(capsys):
+    # the maximal gap 382 runs from 10,726,904,659 to 10,726,905,041, the
+    # first x of the Ramaré–Saouter interval theorem
+    limit = 10_726_905_040
+    code, out, _ = invoke(["sieve", "--limit", str(limit)], capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["last_prime"] == 10_726_904_659
+    assert is_prime(doc["last_prime"])
+    assert not any(is_prime(m) for m in range(doc["last_prime"] + 1, limit + 1))
+    assert doc["prime_count"] == prime_count(limit)
+
+
+@pytest.mark.parametrize("limit", [10**12, 2**62])
+def test_sieve_summary_window_grows_with_the_limit(capsys, monkeypatch, limit):
+    starts = []
+
+    def recorded(limit, *, start):
+        # no pi: one stand-in block whose last prime is the limit
+        starts.append(start)
+        yield PrimeBlock(start_index=1, primes=np.array([limit], dtype=np.int64))
+
+    monkeypatch.setattr(cli, "sieve_primes", recorded)
+    code, _, _ = invoke(["sieve", "--limit", str(limit)], capsys)
+    assert code == 0
+    # ceil(limit / 28,313,999), the Ramaré–Saouter width, in integers
+    assert starts == [limit - (limit + 28_313_998) // 28_313_999]
+
+
+@pytest.mark.parametrize("limit, count, last", [
+    (10**10, 455_052_511, 9_999_999_967),
+    (10**11, 4_118_054_813, 99_999_999_977),
+])
+def test_sieve_summary_matches_published_values(capsys, limit, count, last):
+    # pi(10^k) is OEIS A006880 and the largest prime below 10^k is A003618
+    code, out, _ = invoke(["sieve", "--limit", str(limit)], capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["prime_count"], doc["last_prime"]) == (count, last)
 
 
 def test_scan_csv_twin_rows(tmp_path, capsys, oracle_primes_1m):

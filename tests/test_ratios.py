@@ -63,6 +63,16 @@ def test_excess_remainder_bound_for_log_square():
         assert abs(ratio_excess(expr("1/ln(n)^2"), n) - 2.0) <= 5.0 / n
 
 
+@pytest.mark.parametrize("k", [40, 60, 100, 200])
+def test_excess_keeps_its_digits_at_large_n(k):
+    # b(n)/b(n+1) - 1 cancels the digits of n ln n, about 20 at 2^60 and
+    # 63 at 2^200, so a fixed working precision loses the sample
+    n = 2**k
+    got = ratio_excess(expr("1/(n*ln(n)^2)"), n)
+    want = mp_ratio_excess(lambda x: 1 / (x * mpmath.ln(x) ** 2), n, dps=120)
+    assert math.isclose(got, want, rel_tol=1e-15)
+
+
 def test_excess_needs_n_at_least_two():
     with pytest.raises(ValueError):
         ratio_excess(expr("1/n"), 1)
