@@ -14,6 +14,8 @@ strength r would pin the liminf of the gap at or below about r.
 Run: python demos/05_prime_ratio_scan.py
 """
 
+from itertools import islice
+
 from gaplab import export_report, gap_bound_report, prime_ratio_scan
 
 LIMIT = 10**6
@@ -25,7 +27,7 @@ print(f"min gap among hits = {scan.min_gap_among_hits}, "
       f"max threshold = {scan.max_threshold_among_hits:.4f}, "
       f"borderline hits = {scan.borderline_count}")
 print("first five hits (n, p_n, p_next, g_n, threshold):")
-for hit in list(scan.iter_hits())[:5]:
+for hit in islice(scan.iter_hits(), 5):
     print(f"  {hit[:5]}")
 print("at this strength the hit set below 10^6 is exactly the twin-prime")
 print("indices: thresholds hover near 2.3, so only gap-2 pairs fit under them.")

@@ -474,6 +474,11 @@ def check_candidate(
 # prime-ratio scan
 
 
+# rows per chunk of ScanReport.iter_hits: a row's Python objects exist for
+# one chunk at a time, not for the whole scan
+_ITER_ROWS = 1 << 13
+
+
 @dataclass
 class ScanReport:
     """Indices where p_{n+1}/p_n < 1 + (r + epsilon)/(n ln n).
@@ -506,16 +511,19 @@ class ScanReport:
         return int(np.count_nonzero(self.hits_borderline))
 
     def iter_hits(self) -> Iterator[tuple[int, int, int, int, float, bool]]:
-        """Hit rows (n, p_n, p_next, g_n, threshold, borderline) in index order."""
-        p, g = self.hits_p, self.hits_gap
-        return zip(
-            self.hits_n.tolist(),
-            p.tolist(),
-            (p + g).tolist(),
-            g.tolist(),
-            self.hits_threshold.tolist(),
-            self.hits_borderline.tolist(),
-        )
+        """Hit rows (n, p_n, p_next, g_n, threshold, borderline) in index
+        order, converted _ITER_ROWS rows at a time."""
+        for lo in range(0, len(self.hits_n), _ITER_ROWS):
+            rows = slice(lo, lo + _ITER_ROWS)
+            p, g = self.hits_p[rows], self.hits_gap[rows]
+            yield from zip(
+                self.hits_n[rows].tolist(),
+                p.tolist(),
+                (p + g).tolist(),
+                g.tolist(),
+                self.hits_threshold[rows].tolist(),
+                self.hits_borderline[rows].tolist(),
+            )
 
 
 def _recheck_mp(n: int, p: int, g: int, r: float, epsilon: float) -> tuple[bool, bool]:
@@ -575,14 +583,22 @@ def prime_ratio_scan(
 
     Each piece keeps only the pairs with g_n <= _gap_cap(n0, r + epsilon),
     n0 its first index, and computes thr, the margin and the recheck test
-    on those alone (the Rosser argument for the cap is in _gap_cap).
+    on those alone (the Rosser argument for the cap is in _gap_cap). Its
+    hits go straight into the n, p_n, g_n and threshold columns, which grow
+    in place by an eighth (ndarray.resize, a realloc), so each hit is held
+    once and no per-piece copy of the hits is left in the heap. Borderline
+    hits are rare; the scan keeps their n and builds that column last.
     """
     _check_strength(r, epsilon)
     if n_lo < 2:
         raise ValueError(f"n ln n vanishes at n = 1: scan must start at n_lo >= 2, got {n_lo}")
 
     strength = r + epsilon
-    pieces: list[tuple[np.ndarray, ...]] = []
+    # no view of a column outlives its np.take call, so resizing needs no
+    # refcheck
+    columns = [np.empty(0, dtype) for dtype in (np.int64, np.int64, np.int64, np.float64)]
+    count = 0
+    flagged: list[int] = []  # n of each borderline hit
     n_hi = 0
 
     for n0, (p, g), _cut in _split_at(iter_gap_blocks(limit, n_lo), [n_lo - 1]):
@@ -599,30 +615,43 @@ def prime_ratio_scan(
         margin = d / (pf + thr)
 
         is_hit = d > 0
-        borderline = np.zeros(len(ns), dtype=bool)
         uncertain = (d >= -RECHECK_BAND * thr) & (margin <= 2 * BORDERLINE_REL)
         for idx in np.flatnonzero(uncertain).tolist():
             hit, near = _recheck_mp(int(ns[idx]), int(p[idx]), int(g[idx]), r, epsilon)
             is_hit[idx] = hit
-            borderline[idx] = near
+            if near:  # a positive margin, so a hit
+                flagged.append(int(ns[idx]))
 
-        pieces.append((ns[is_hit], p[is_hit], g[is_hit], thr[is_hit], borderline[is_hit]))
+        hits = np.flatnonzero(is_hit)
+        k = len(hits)
+        if count + k > len(columns[0]):
+            for column in columns:
+                column.resize(count + k + (count >> 3), refcheck=False)
+        for column, values in zip(columns, (ns, p, g, thr)):
+            # "clip" writes straight into out, where the default "raise"
+            # fills a copy first; every index is in range
+            np.take(values, hits, out=column[count : count + k], mode="clip")
+        count += k
 
     if n_hi < n_lo:
         raise ValueError(
             f"limit {limit} is too small to contain the prime pair at index {n_lo}"
         )
 
-    # n_hi >= n_lo leaves at least one piece, and an empty one keeps its dtypes
-    hits_n, hits_p, hits_g, hits_t, hits_b = (np.concatenate(c) for c in zip(*pieces))
+    for column in columns:
+        column.resize(count, refcheck=False)
+    hits_n, hits_p, hits_g, hits_t = columns
+    hits_b = np.zeros(count, dtype=bool)
+    hits_b[np.searchsorted(hits_n, flagged)] = True
 
-    tail: list[tuple[int, int]] = []
-    if len(hits_n):
-        suffix_min = np.minimum.accumulate(hits_g[::-1])[::-1]
-        for cp in _dyadic_range(n_lo, n_hi):
-            pos = int(np.searchsorted(hits_n, cp))
-            if pos < len(hits_n):
-                tail.append((cp, int(suffix_min[pos])))
+    # the checkpoints with a hit at or after them, and from each one the
+    # minimum gap of the hits from there on, without a column-sized array
+    checkpoints = np.array(_dyadic_range(n_lo, n_hi), dtype=np.int64)
+    starts = np.searchsorted(hits_n, checkpoints)
+    on = starts < len(hits_n)
+    checkpoints, starts = checkpoints[on], starts[on]
+    tail_min = np.minimum.accumulate(np.minimum.reduceat(hits_g, starts)[::-1])[::-1]
+    tail = list(zip(checkpoints.tolist(), tail_min.tolist()))
 
     return ScanReport(
         r=r,

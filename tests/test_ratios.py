@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import gaplab.gaps as gaps
 import gaplab.ratios as ratios
+import gaplab.report as report_module
 from gaplab.errors import EvalError, PositivityError
 from gaplab.expr import eval_array, parse_sequence
 from gaplab.gaps import iter_gap_blocks
@@ -392,9 +393,9 @@ def test_scan_limit_30(oracle_primes_1m):
     assert math.isclose(hits[0][4], 4.328085122666891, rel_tol=1e-12)
 
 
-def test_hit_rows_are_chunk_invariant(monkeypatch):
-    report = prime_ratio_scan(2.0, 0.0, 10**4)
-    whole = list(
+def _hit_rows(report):
+    """The hit rows built from the whole columns at once."""
+    return list(
         zip(
             report.hits_n.tolist(),
             report.hits_p.tolist(),
@@ -404,6 +405,12 @@ def test_hit_rows_are_chunk_invariant(monkeypatch):
             report.hits_borderline.tolist(),
         )
     )
+
+
+def test_hit_rows_are_chunk_invariant(monkeypatch):
+    default = report_module._HIT_ROWS
+    report = prime_ratio_scan(2.0, 0.0, 10**4)
+    whole = _hit_rows(report)
     json_text, csv_text = to_json(report), to_csv(report)
     primes = primes_upto(10**4)
     primes_text = to_csv(primes)
@@ -416,12 +423,70 @@ def test_hit_rows_are_chunk_invariant(monkeypatch):
         assert to_json(report) == json_text
         assert to_csv(report) == csv_text
         assert to_csv(primes) == primes_text
+    # the default chunk and the earlier 2^14 one, each over several chunks
+    # and a partial last one: 67,110 hits and 78,498 primes below 10^6
+    big = prime_ratio_scan(20.0, 0.0, 10**6)
+    big_primes = primes_upto(10**6)
+    texts = {}
+    for hit_rows in (1 << 14, default):
+        monkeypatch.setattr("gaplab.report._HIT_ROWS", hit_rows)
+        assert big.hit_count > 2 * hit_rows and big.hit_count % hit_rows
+        assert len(big_primes) > 2 * hit_rows and len(big_primes) % hit_rows
+        texts[hit_rows] = (to_json(big), to_csv(big), to_csv(big_primes))
+    assert texts[1 << 14] == texts[default]
     # the rows csv.writer wrote before the row template replaced it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("index", "prime"))
     writer.writerows(enumerate(primes.tolist(), start=1))
     assert primes_text == buf.getvalue()
+
+
+@pytest.mark.parametrize("iter_rows", [None, 7])
+def test_iter_hits_matches_the_columns_across_chunk_edges(monkeypatch, iter_rows):
+    if iter_rows is not None:
+        monkeypatch.setattr(ratios, "_ITER_ROWS", iter_rows)
+    # 14,871 twin pairs below 2 * 10^6: one edge at the default chunk
+    report = prime_ratio_scan(2.0, 0.0, 2 * 10**6)
+    assert report.hit_count % ratios._ITER_ROWS
+    if iter_rows is None:
+        assert ratios._ITER_ROWS < report.hit_count < 2 * ratios._ITER_ROWS
+    assert list(report.iter_hits()) == _hit_rows(report)
+
+
+def test_first_hit_row_converts_one_chunk():
+    """Taking one row converts one chunk of each column, not the whole
+    scan: the six lists of a chunk hold about 170 bytes per row."""
+    report = prime_ratio_scan(20.0, 0.0, 2 * 10**6)
+    assert report.hit_count > 10 * ratios._ITER_ROWS
+    tracemalloc.start()
+    try:
+        row = next(report.iter_hits())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row == _hit_rows(report)[0]
+    assert peak < 400 * ratios._ITER_ROWS, peak
+
+
+def test_scan_holds_each_hit_once(set_segment_size):
+    """No hit is held twice while the columns are built, so the scan's
+    traced peak stays well under twice the bytes of its five hit columns.
+    Small segments keep the sieve's work space below the hits: r = 20
+    makes 124,331 of the 148,933 pairs below 2 * 10^6 hits."""
+    set_segment_size(1 << 16)
+    tracemalloc.start()
+    try:
+        report = prime_ratio_scan(20.0, 0.0, 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(
+        getattr(report, name).nbytes
+        for name in ("hits_n", "hits_p", "hits_gap", "hits_threshold", "hits_borderline")
+    )
+    assert report.hit_count == 124_331
+    assert peak < 1.75 * columns, (peak, columns)
 
 
 def test_scan_matches_brute_force_oracle(oracle_primes_1m):
@@ -619,6 +684,19 @@ def test_borderline_hits_are_flagged():
     assert all(h[0] != 2 for h in just_under.iter_hits())
 
 
+def test_borderline_flags_land_on_their_rows_across_segments(monkeypatch, set_segment_size):
+    # a wide borderline band flags some hits of every segment and not
+    # others; each flag must sit on its own row
+    set_segment_size(64)
+    monkeypatch.setattr(ratios, "BORDERLINE_REL", 2e-4)
+    report = prime_ratio_scan(3.0, 0.0, 2 * 10**4)
+    rows = list(report.iter_hits())
+    flags = [b for *_, b in rows]
+    assert 0 < sum(flags) < len(rows)
+    for (n, p, q, _g, _t, borderline) in rows:
+        assert borderline == (_exact_margin(n, p, q, 3.0, 0.0) < 2e-4), n
+
+
 def _exact_margin(n: int, p: int, q: int, r: float, eps: float):
     with mpmath.workdps(60):
         rhs = 1 + (mpmath.mpf(r) + mpmath.mpf(eps)) / (n * mpmath.ln(n))
@@ -667,10 +745,17 @@ def test_scan_fast_path_makes_no_rechecks(monkeypatch):
 
 
 def test_tail_min_gap_is_suffix_minimum():
-    report = prime_ratio_scan(6.0, 0.0, 10**4)
-    for checkpoint, tail_min in report.tail_min_gap:
-        mask = report.hits_n >= checkpoint
-        assert tail_min == int(report.hits_gap[mask].min())
+    # r = 1.4 hits only n = 2 and 3, so every checkpoint from 4 on is dropped
+    for r, limit, n_lo in [(6.0, 10**4, 2), (6.0, 10**4, 100), (2.0, 10**5, 3000), (1.4, 10**4, 2)]:
+        report = prime_ratio_scan(r, 0.0, limit, n_lo)
+        hits = list(zip(report.hits_n.tolist(), report.hits_gap.tolist()))
+        expected = [
+            (c, min(g for n, g in hits if n >= c))
+            for c in gaps._dyadic_range(n_lo, report.n_hi)
+            if hits[-1][0] >= c
+        ]
+        assert expected
+        assert report.tail_min_gap == expected, (r, limit, n_lo)
 
 
 @settings(max_examples=12, deadline=None)
