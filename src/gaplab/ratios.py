@@ -74,7 +74,7 @@ INCREMENT_WINDOW = 5     # dyadic sum increments inspected by the probe
 # The scan's relative margin is (thr - g_n)/(p_n + thr), thr = p_n (r+eps)/(n ln n).
 # thr carries a few ulps of relative error (~1e-15) and g_n is exact, so the
 # float64 sign of thr - g_n can be wrong only where |thr - g_n| <~ 1e-15 thr.
-# Pairs with thr - g_n >= -RECHECK_BAND * thr and margin <= 2 * BORDERLINE_REL
+# Pairs with -RECHECK_BAND * thr <= thr - g_n <= 2 * BORDERLINE_REL * (p_n + thr)
 # cover that region and every borderline hit; they go to mpmath.
 RECHECK_BAND = 1e-9
 BORDERLINE_REL = 1e-12   # hits with relative margin below this are flagged
@@ -150,9 +150,7 @@ def _diff_ratios(diffs: list[float]) -> list[float]:
     return ratios
 
 
-def _estimate_from_samples(samples: list[tuple[int, float]]) -> float | str | None:
-    values = [e for _, e in samples]
-    diffs = [b - a for a, b in zip(values, values[1:])]
+def _estimate_from_samples(values: list[float], diffs: list[float]) -> float | str | None:
     if len(diffs) < 3:
         return None
     ratios = _diff_ratios(diffs)
@@ -170,9 +168,9 @@ def _diagnose(
     samples: list[tuple[int, float]], r_reference: float | None
 ) -> RatioDiagnostics:
     values = [e for _, e in samples]
-    diffs: list[float | None] = [None] + [b - a for a, b in zip(values, values[1:])]
-    table = [(n, e, d) for (n, e), d in zip(samples, diffs)]
-    estimate = _estimate_from_samples(samples)
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    table = [(n, e, d) for (n, e), d in zip(samples, [None, *diffs])]
+    estimate = _estimate_from_samples(values, diffs)
 
     if r_reference is not None:
         ref: float | None = r_reference
@@ -575,14 +573,15 @@ def prime_ratio_scan(
     far below RECHECK_BAND * thr, and the margin's absolute error stays
     near 1e-15. A pair is re-decided in extended precision only when
     thr - g_n >= -RECHECK_BAND * thr and its margin is at most
-    2 * BORDERLINE_REL. That region holds every pair whose hit decision
+    2 * BORDERLINE_REL, which the scan tests undivided, as
+    thr - g_n <= 2 * BORDERLINE_REL * (p_n + thr). That region holds every pair whose hit decision
     (the sign of thr - g_n) or borderline decision
     (0 < margin < BORDERLINE_REL) the float error could flip; every other
     pair is classified as exact arithmetic would classify it. The hit set
     is monotone in r and epsilon by construction.
 
     Each piece keeps only the pairs with g_n <= _gap_cap(n0, r + epsilon),
-    n0 its first index, and computes thr, the margin and the recheck test
+    n0 its first index, and computes thr, thr - g_n and the recheck test
     on those alone (the Rosser argument for the cap is in _gap_cap). Its
     hits go straight into the n, p_n, g_n and threshold columns, which grow
     in place by an eighth (ndarray.resize, a realloc), so each hit is held
@@ -612,10 +611,9 @@ def prime_ratio_scan(
         pf = p.astype(np.float64)
         thr = pf * (strength / (nf * np.log(nf)))
         d = thr - g
-        margin = d / (pf + thr)
 
         is_hit = d > 0
-        uncertain = (d >= -RECHECK_BAND * thr) & (margin <= 2 * BORDERLINE_REL)
+        uncertain = (d >= -RECHECK_BAND * thr) & (d <= 2 * BORDERLINE_REL * (pf + thr))
         for idx in np.flatnonzero(uncertain).tolist():
             hit, near = _recheck_mp(int(ns[idx]), int(p[idx]), int(g[idx]), r, epsilon)
             is_hit[idx] = hit

@@ -5,22 +5,24 @@ indices (p_1 = 2). Segments are odd-only boolean bitmaps, sieved one
 after another by one kernel:
 
 - the kernel starts at any value lo: it sieves the odd numbers of
-  [lo, limit] and nothing below them;
+  [max(lo, 19), limit] and nothing below them;
 - a wheel pattern over odd indices, built once per call, already has the
   multiples of 3, 5, 7, 11, 13 and 17 cleared (its period is
   3*5*7*11*13*17 = 255,255 odd indices); each segment starts as a copy of
-  its window of the pattern, and a segment starting at or below 17
-  restores those six primes;
+  its window of the pattern, and no segment holds a wheel prime;
 - every base prime p > 17 up to sqrt(limit) keeps the offset of its next
   odd multiple (the first one at or above max(p^2, lo)), relative to the
   current segment, in one int64 array; a segment clears with one strided
   write per base prime whose p^2 lies below its end, and the offsets are
   carried to the next segment without recomputing a start.
 
-sieve_primes turns each bitmap into a block of primes. A stream that
-starts above 2 takes the global index of its first prime from pi(lo - 1),
-and pi comes from the Lucy recursion, a Legendre-sum form of
-Meissel-Lehmer that needs no sieve: prime_count answers from it alone.
+The primes below 19 (2 and the six wheel primes) come from one table,
+_HEAD, never from a bitmap: sieve_primes yields the ones in its window
+as its first block and then turns each bitmap into a block of primes.
+A stream that starts above 2 takes the global index of its first prime
+from pi(lo - 1), and pi comes from the Lucy recursion, a Legendre-sum
+form of Meissel-Lehmer that needs no sieve: prime_count answers from it
+alone.
 Every segment covers DEFAULT_SEGMENT_SIZE odd numbers, which no caller
 sets: the prime stream and every output are the same at any segment
 size, and the tests place segment edges by patching this constant.
@@ -49,6 +51,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import BinaryIO, Iterator
 
 import numpy as np
@@ -80,7 +83,8 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 _WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
 _WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)
 
-_TWO = np.array([2], dtype=np.int64)
+# Every prime below the kernel's first odd number, 19: no bitmap holds one
+_HEAD = np.array([2, *_WHEEL_PRIMES], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ def _validate_limit(limit: int, name: str = "limit") -> int:
 
 
 def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (low, mask) for the odd numbers in [max(lo, 3), limit], one segment at a time.
+    """Yield (low, mask) for the odd numbers in [max(lo, 19), limit], one segment at a time.
 
     mask[i] is True iff low + 2i is prime. The segments alternate between
     two buffers, so mask k is overwritten by segment k + 2: a consumer
@@ -140,7 +144,7 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
     executor sieves mask k + 1 during the read, and segment k + 2 is
     submitted only after it.
     """
-    first = max(lo | 1, 3)
+    first = max(lo | 1, 19)
     if first > limit:
         return
     n_odds = (limit - first) // 2 + 1
@@ -168,10 +172,6 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
         active = int(np.searchsorted(p2, high))
         for q, o in zip(p[:active].tolist(), off[:active].tolist()):
             mask[o::q] = False
-        if low <= _WHEEL_PRIMES[-1]:
-            for q in _WHEEL_PRIMES:
-                if low <= q < high:
-                    mask[(q - low) // 2] = True
         yield low, mask
         buf, spare = spare, buf
         off -= n
@@ -179,8 +179,8 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
         off[neg] %= p[neg]
 
 
-def _sieve_ahead(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (low, np.flatnonzero(mask)) for each segment of _segments(lo, limit).
+def _sieve_ahead(lo: int, limit: int) -> Iterator[np.ndarray]:
+    """Yield the primes of each segment of _segments(lo, limit), each in a new int64 array.
 
     The masks are sieved on a one-worker executor, one segment ahead: the
     worker sieves segment k + 1 while this thread extracts mask k. Two
@@ -201,9 +201,11 @@ def _sieve_ahead(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
         ahead = deque(pool.submit(next, segments, None) for _ in range(2))
         while (item := ahead.popleft().result()) is not None:
             low, mask = item
-            odd = np.flatnonzero(mask)
+            primes = np.flatnonzero(mask)
             ahead.append(pool.submit(next, segments, None))
-            yield low, odd
+            primes *= 2
+            primes += low
+            yield primes
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -242,7 +244,9 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
 
     The first block's start_index is pi(start - 1) + 1, so indices are
     global whatever the start. A start at or below 2 streams every prime
-    and needs no pi; a start above limit streams nothing.
+    and needs no pi; a start above limit streams nothing. The primes of
+    _HEAD in the window, if any, form the first block, and each non-empty
+    segment of the kernel, which starts at 19, forms one block after it.
 
     Args:
       limit: inclusive upper bound, >= 2.
@@ -266,27 +270,17 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
         return
 
     count = _prime_pi(start - 1)
-    for low, primes in _sieve_ahead(start, limit):
-        primes *= 2
-        primes += low
-        if low == 3 and start <= 2:
-            primes = np.concatenate([_TWO, primes])
-        if not len(primes):
-            continue
-        primes.flags.writeable = False
-        yield PrimeBlock(start_index=count + 1, primes=primes)
-        count += len(primes)
-    if count == 0:
-        # limit 2: there is no odd segment at all
-        two = _TWO.copy()
-        two.flags.writeable = False
-        yield PrimeBlock(start_index=1, primes=two)
+    head = _HEAD[(start <= _HEAD) & (_HEAD <= limit)]
+    for primes in chain([head], _sieve_ahead(start, limit)):
+        if len(primes):
+            primes.flags.writeable = False
+            yield PrimeBlock(start_index=count + 1, primes=primes)
+            count += len(primes)
 
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as one int64 array."""
-    blocks = [b.primes for b in sieve_primes(limit)]
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+    return np.concatenate([b.primes for b in sieve_primes(limit)])
 
 
 def prime_count(limit: int) -> int:

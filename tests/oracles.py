@@ -80,18 +80,17 @@ def dense_sieve(limit: int) -> list[int]:
 
 
 def bitmap_prime_count(limit: int) -> int:
-    """pi(limit) by counting gaplab's own odd-only segment bitmaps, 2 included.
+    """pi(limit) by counting gaplab's own odd-only segment bitmaps and its head table.
 
     Not independent of the library: it shares the sieve kernel, and it
     cross-checks the library's pi(x), which comes from the Lucy recursion
     and sieves nothing above sqrt(x), at sizes where the dense oracles
     here are too slow.
     """
-    from gaplab.sieve import _segments
+    from gaplab.sieve import _HEAD, _segments
 
-    if limit < 2:
-        return 0
-    return 1 + sum(int(np.count_nonzero(mask)) for _low, mask in _segments(2, limit))
+    head = int(np.count_nonzero(_HEAD <= limit))
+    return head + sum(int(np.count_nonzero(mask)) for _low, mask in _segments(2, limit))
 
 
 def gap_records(primes: list[int], limit: int) -> list[tuple[int, int, int, int]]:

@@ -697,6 +697,20 @@ def test_borderline_flags_land_on_their_rows_across_segments(monkeypatch, set_se
         assert borderline == (_exact_margin(n, p, q, 3.0, 0.0) < 2e-4), n
 
 
+def test_borderline_flags_where_the_threshold_exceeds_the_prime(monkeypatch):
+    # a large r puts thr above p_n at small n, where the recheck bound
+    # 2 * BORDERLINE_REL * (p_n + thr) is more than twice the one without
+    # thr; a wide band then flags hits (n = 6, 7 at r = 20 and n = 11 to 14
+    # at r = 50) that only the thr term sends to mpmath
+    monkeypatch.setattr(ratios, "BORDERLINE_REL", 0.6)
+    for r in (20.0, 50.0):
+        rows = list(prime_ratio_scan(r, 0.0, 200).iter_hits())
+        flags = [b for *_, b in rows]
+        assert 0 < sum(flags) < len(rows), r
+        for (n, p, q, _g, _t, borderline) in rows:
+            assert borderline == (_exact_margin(n, p, q, r, 0.0) < 0.6), (r, n)
+
+
 def _exact_margin(n: int, p: int, q: int, r: float, eps: float):
     with mpmath.workdps(60):
         rhs = 1 + (mpmath.mpf(r) + mpmath.mpf(eps)) / (n * mpmath.ln(n))

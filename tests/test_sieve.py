@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,23 @@ def test_index_consistency(set_segment_size):
             i = block.start_index + offset
             p = int(block.primes[offset])
             assert prime_count(p) == i
+
+
+@pytest.mark.parametrize("segment_size", [1, 2, 64])
+def test_head_table_meets_the_first_segment(segment_size, set_segment_size):
+    # the primes below 19 come from a table and the rest from the kernel's
+    # bitmaps: every window across that seam, with segment edges on it and
+    # beside it; each stream is drained before the next one starts
+    set_segment_size(segment_size)
+    oracle = dense_sieve(40)
+    for start in range(1, 25):
+        for limit in range(2, 41):
+            blocks = list(sieve_primes(limit, start=start))
+            got = [p for b in blocks for p in b.primes.tolist()]
+            assert got == [p for p in oracle if start <= p <= limit], (start, limit)
+            for b in blocks:
+                assert b.start_index == bisect_left(oracle, int(b.primes[0])) + 1, (start, limit)
+                assert not b.primes.flags.writeable, (start, limit)
 
 
 def test_block_invariants(set_segment_size):
@@ -376,14 +394,15 @@ def _inline_blocks(limit: int, start: int = 2) -> list[tuple[int, list[int]]]:
     segments alternate between two buffers.
     """
     count = sieve._prime_pi(start - 1)
-    blocks, held = [], None
+    head = [p for p in sieve._HEAD.tolist() if start <= p <= limit]
+    blocks = [(count + 1, head)] if head else []
+    count += len(head)
+    held = None
     for low, mask in sieve._segments(start, limit):
         if held is not None:
             assert np.array_equal(held[0], held[1]), "mask k changed under segment k + 1"
         held = (mask, mask.copy())
         primes = np.flatnonzero(mask) * 2 + low
-        if low == 3 and start <= 2:
-            primes = np.concatenate([[2], primes])
         if len(primes):
             blocks.append((count + 1, primes.tolist()))
             count += len(primes)
@@ -393,7 +412,9 @@ def _inline_blocks(limit: int, start: int = 2) -> list[tuple[int, list[int]]]:
 @pytest.mark.parametrize("segment_size", [64, 101, 4099])
 def test_worker_blocks_equal_an_inline_drain(segment_size, set_segment_size):
     set_segment_size(segment_size)
-    for limit, start in [(200_000, 2), (200_000, 3), (200_000, 100_003), (3, 2), (10, 5)]:
+    cases = [(200_000, 2), (200_000, 3), (200_000, 100_003), (3, 2), (10, 5)]
+    cases += [(17, 2), (18, 3), (19, 17), (19, 19), (20, 18)]  # the head's seam
+    for limit, start in cases:
         blocks = [(b.start_index, b.primes.tolist()) for b in sieve_primes(limit, start=start)]
         assert blocks == _inline_blocks(limit, start), (limit, start)
 
@@ -459,7 +480,7 @@ def test_worker_fault_reaches_the_consumer_after_the_first_blocks(monkeypatch, s
             yield item
 
     set_segment_size(64)
-    expected = _inline_blocks(10_000)[:2]
+    expected = _inline_blocks(10_000)[:3]  # the head and two segments
     monkeypatch.setattr(sieve, "_segments", faulty)
     before = threading.active_count()
     got = []
