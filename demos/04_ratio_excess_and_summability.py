@@ -7,8 +7,11 @@ The ratio excess of a positive sequence b is
 
 If e_n tends to a finite positive r AND the sum of b_n converges, the
 pair (b, r) would make prime gaps below roughly r occur infinitely often
-(see demo 05). This demo measures both axes for classic families and
-shows the tension: nailing one axis loses the other.
+(see demo 05). No such pair exists, by a theorem: if e_n stays bounded,
+then n (b_n/b_{n+1} - 1) = e_n / ln(n) -> 0 < 1, and Raabe's test
+(Knopp, Theory and Application of Infinite Series, §38) makes the sum
+of b_n diverge. This demo measures both axes for classic families on a
+finite range and shows each one fail an axis.
 
 Run: python demos/04_ratio_excess_and_summability.py
 """
@@ -50,6 +53,6 @@ print("== the combined check ==")
 for text in ("1/ln(n)^2", "1/(n^2)", "1/(n*ln(n)^2)"):
     rep = check_candidate(parse_sequence(text), r=2.0, n_max=2**16)
     print(f"  {text:16s} candidate = {rep.candidate!s:5s}  failed axes: {rep.failed_axes}")
-print("each family fails exactly one axis. no closed form in this language")
-print("is known to pass both; the engine reports evidence either way and")
-print("hard-codes neither answer.")
+print("each family fails exactly one axis. by Raabe's test no positive")
+print("sequence passes both in the limit; the engine reports finite-range")
+print("evidence either way and hard-codes neither answer.")

@@ -71,7 +71,6 @@ from .sieve import (
     nth_prime,
     prime_count,
     primes_upto,
-    read_prime_dump,
     sieve_primes,
 )
 

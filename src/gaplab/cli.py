@@ -6,9 +6,11 @@ scripts can parse them. Identical configs produce byte-identical output
 files regardless of --threads; all numeric output carries 15 significant
 digits.
 
-A JSON config file may supply any long-flag value (keys use underscores,
-e.g. {"limit": 1000000, "threads": 4}); each value must have its
-RunConfig field's type, and explicit flags always win.
+A JSON config file may supply any RunConfig field by name (e.g.
+{"limit": 1000000, "expression": "1/n^2", "output": "out.json"}; a flag
+spelling such as "expr" or "out" is an unknown key). Each value must have
+its field's type, explicit flags always win, and every usage error,
+argparse's own included, is one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import sys
 import types
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -67,7 +69,7 @@ _JSON_ONLY = {"parse", "star"}
 
 def _validate(config: RunConfig) -> None:
     if config.command not in _COMMANDS:
-        raise UsageError(f"unknown command {config.command!r}")
+        raise UsageError(f"command must be one of {', '.join(_COMMANDS)}, got {config.command!r}")
     if config.format not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {config.format!r}")
     if config.command in _NEEDS_LIMIT and config.limit is None:
@@ -168,25 +170,32 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad checkpoint list {text!r}: {exc}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each command-line error as a UsageError, so main emits it as JSON."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaplab",
         description="Prime gaps, divergence trackers, sequence analysis and ratio scans.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", dest="output", default=None,
                         help="output path; '-' or omitted writes to stdout")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="artifact format (default json)")
+    common.add_argument("--format", default=None,
+                        help="artifact format: csv or json (default json)")
     common.add_argument("--config", default=None,
-                        help="JSON file with default flag values; flags win")
+                        help="JSON file of RunConfig field values; flags win")
 
     stream = argparse.ArgumentParser(add_help=False)
     stream.add_argument("--limit", type=int, default=None, help="inclusive prime bound")
     stream.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored (must be >= 1); the sieve runs on one thread")
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
     p = sub.add_parser("sieve", parents=[common, stream], help="prime counts and dumps")
     p.add_argument("--dump", default=None, help="also dump primes as little-endian int64")
     sub.add_parser("gaps", parents=[common, stream], help="gap histogram and normalized minima")
@@ -195,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", type=_int_list, default=None,
                    help="comma-separated indices (default: powers of two)")
     p = sub.add_parser("parse", parents=[common], help="parse a sequence formula")
-    p.add_argument("--expr", dest="expression", required=True)
+    p.add_argument("--expr", dest="expression", default=None)
     p = sub.add_parser("star", parents=[common], help="two-axis candidate check")
-    p.add_argument("--expr", dest="expression", required=True)
-    p.add_argument("--r", type=float, required=True, help="target ratio-excess limit")
+    p.add_argument("--expr", dest="expression", default=None)
+    p.add_argument("--r", type=float, default=None, help="target ratio-excess limit")
     p.add_argument("--n0", type=int, default=None,
                    help="first ratio-excess sample (default 2); the summability probe always sums from n = 2")
     p.add_argument("--n-max", type=int, default=None, help="last index analyzed (default 2^16)")
@@ -207,13 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None, help="explicit stand-in for the vanishing term (default 0)")
     p.add_argument("--n-lo", type=int, default=None, help="first index scanned (default 2)")
-    p.add_argument("--summary", action="store_true",
+    p.add_argument("--summary", action="store_true", default=None,
                    help="emit the gap-bound summary instead of the raw scan")
     sub.add_parser("bounds", parents=[common], help="published liminf gap bounds")
     return parser
 
 
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _HINTS = get_type_hints(RunConfig)
 
 
@@ -234,32 +242,28 @@ def _fits(hint, val) -> bool:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {k: v for k, v in vars(args).items() if k != "config"}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
+    values = vars(args).copy()
+    path = values.pop("config", None)
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
             try:
                 file_values = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise UsageError(f"bad config file {args.config}: {exc}")
+                raise UsageError(f"bad config file {path}: {exc}")
         if not isinstance(file_values, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
+            raise UsageError(f"config file {path} must hold a JSON object")
         for key, val in file_values.items():
             key = key.replace("-", "_")
-            if key not in _DEFAULTS or key == "command":
-                raise UsageError(f"config file {args.config}: unknown key {key!r}")
+            if key not in _HINTS or key == "command":
+                raise UsageError(f"config file {path}: unknown key {key!r}")
             if not _fits(_HINTS[key], val):
                 hint = RunConfig.__annotations__[key]
-                raise UsageError(f"config file {args.config}: {key} must be {hint}, got {val!r}")
-            # a flag left at its unset state defers to the file
-            if values.get(key) is None or (key == "summary" and not values.get(key)):
+                raise UsageError(f"config file {path}: {key} must be {hint}, got {val!r}")
+            # a flag left unset (None) defers to the file
+            if values.get(key) is None:
                 values[key] = val
-    kwargs = {"command": values["command"]}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        v = values.get(f.name)
-        kwargs[f.name] = _DEFAULTS[f.name] if v is None else v
-    return RunConfig(**kwargs)
+    command = values.pop("command")
+    return RunConfig(command, **{k: v for k, v in values.items() if v is not None})
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -271,9 +275,8 @@ def _emit_error(exc: BaseException) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
         return run(config)
     except (UsageError, ExprSyntaxError) as exc:
         # ahead of ValueError, which both subclass

@@ -401,9 +401,10 @@ class CandidateReport:
     A sequence qualifies as a candidate pair with its r only when the
     ratio axis passes (remainder trend shrinking, so e_n -> r is
     plausible) AND the summability axis passes (converging evidence).
-    The axes are deliberately independent: families that nail the ratio
-    expansion tend to fail summability and vice versa, and the report
-    must expose that tension rather than bury it.
+    No positive sequence passes both in the limit, by a theorem: bounded
+    e_n gives n (b_n/b_(n+1) - 1) = e_n / ln n -> 0 < 1, so Raabe's test
+    (Knopp, Infinite Series, §38) makes the sum of b_n diverge, and a
+    True ``candidate`` could only be a finite-range artefact.
     """
 
     expression: str
@@ -435,7 +436,7 @@ def _check_strength(r: float, epsilon: float) -> None:
 def check_candidate(
     expr: SequenceExpr, r: float, n0: int = 2, n_max: int = 1 << 16
 ) -> CandidateReport:
-    """Judge (expr, r) on the ratio axis and the summability axis."""
+    """Judge (expr, r) on both axes; a True candidate is a finite-range artefact only."""
     _check_strength(r, 0.0)
     if not 2 <= n0 < n_max:
         raise ValueError(f"need 2 <= n0 < n_max, got n0={n0}, n_max={n_max}")

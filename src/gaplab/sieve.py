@@ -67,7 +67,6 @@ __all__ = [
     "prime_count",
     "nth_prime",
     "write_dump_block",
-    "read_prime_dump",
 ]
 
 # Prime values are stored as int64; the odd-only segment arithmetic needs
@@ -271,7 +270,9 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
 
     count = _prime_pi(start - 1)
     head = _HEAD[(start <= _HEAD) & (_HEAD <= limit)]
-    for primes in chain([head], _sieve_ahead(start, limit)):
+    # a window below the kernel's first odd number, 19, starts no worker
+    tail = _sieve_ahead(start, limit) if max(start | 1, 19) <= limit else ()
+    for primes in chain([head], tail):
         if len(primes):
             primes.flags.writeable = False
             yield PrimeBlock(start_index=count + 1, primes=primes)
@@ -295,21 +296,18 @@ def prime_count(limit: int) -> int:
 
 
 def _nth_prime_floor(n: int) -> int:
-    """Lower bound for p_n: n (ln n + ln ln n - 1) for n >= 2 (Dusart), and never below 2.
+    """Dusart's lower bound for p_n, n >= 3 (arXiv:1002.0442, 2010), and 2 below.
 
-    The float value never exceeds p_n, so a window started here needs no
-    second pass. For n <= 78,498 (p_n < 10^6) the tests check every n
-    against a dense sieve. Above it, Dusart's sharper
-    p_n >= n (ln n + ln ln n - 1 + (ln ln n - 2.1)/ln n) for n >= 3
-    (2010) puts p_n above this floor by at least 9e-4 of it up to where
-    p_n reaches MAX_LIMIT, while the float evaluation errs by about
-    10 ulp (2e-15) and int() rounds down. See Dusart, Math. Comp. 68
-    (1999), and arXiv:1002.0442.
+    p_n >= n (ln n + ln ln n - 1 + (ln ln n - 2.1)/ln n), so a window
+    started here needs no second pass. The factor 1 - 10^-12 covers the
+    float error (about 10 ulp of n ln n), and int() rounds down; at the
+    published p_(10^k), k = 6..17, p_n lies 4.2e-4 to 4.2e-5 of p_n above.
     """
-    if n < 2:
+    if n < 3:
         return 2
     x = float(n)
-    return max(2, int(x * (math.log(x) + math.log(math.log(x)) - 1)))
+    ln, lnln = math.log(x), math.log(math.log(x))
+    return max(2, int(x * (ln + lnln - 1 + (lnln - 2.1) / ln) * (1 - 1e-12)))
 
 
 def _nth_prime_bound(n: int) -> int:
@@ -352,8 +350,3 @@ def write_dump_block(fh: BinaryIO, block: PrimeBlock) -> None:
     in index order, suitable for numpy.fromfile.
     """
     block.primes.astype("<i8").tofile(fh)
-
-
-def read_prime_dump(path: str) -> np.ndarray:
-    """Read a prime dump written block by block with write_dump_block."""
-    return np.fromfile(path, dtype="<i8")

@@ -11,7 +11,7 @@ import gaplab
 import gaplab.cli as cli
 import gaplab.ratios as ratios
 from gaplab.cli import RunConfig, UsageError, main, run
-from gaplab.sieve import PrimeBlock, prime_count, primes_upto, read_prime_dump
+from gaplab.sieve import PrimeBlock, prime_count, primes_upto
 
 from oracles import count_gaps, is_prime
 
@@ -73,7 +73,7 @@ def test_sieve_dump_is_written_in_the_same_pass(tmp_path, capsys, monkeypatch, s
             capsys,
         )
         assert code == 0 and len(passes) == 1
-        assert np.array_equal(read_prime_dump(str(dump)), expected)
+        assert np.array_equal(np.fromfile(dump, dtype="<i8"), expected)
         if fmt == "json":
             doc = json.loads(out.read_text())
             assert (doc["prime_count"], doc["last_prime"]) == (9592, 99991)
@@ -304,10 +304,11 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, file_values)
 
 
 def test_segment_size_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gaps", "--limit", "100", "--segment-size", "64"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = invoke(["gaps", "--limit", "100", "--segment-size", "64"], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert "unrecognized arguments: --segment-size" in error["message"]
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"segment_size": 64}))
     code, out, err = invoke(["gaps", "--limit", "100", "--config", str(config)], capsys)
@@ -324,6 +325,68 @@ def test_config_file_int_fits_a_float_field(tmp_path, capsys):
     code, from_file, _ = invoke(argv + ["--config", str(config)], capsys)
     assert code == 0
     assert from_file == invoke(argv + ["--r", "2"], capsys)[1]
+
+
+_STAR = "1/(n*ln(n)^2)"
+
+
+@pytest.mark.parametrize("argv, file_values, flags", [
+    (["parse"], {"expression": "1/(n^2)"}, ["--expr", "1/(n^2)"]),
+    (["star", "--n-max", "4096"], {"expression": _STAR, "r": 1}, ["--expr", _STAR, "--r", "1"]),
+    (["star", "--n-max", "4096", "--r", "1"], {"expression": _STAR}, ["--expr", _STAR]),
+    (["scan", "--r", "2", "--limit", "1000"], {"summary": True}, ["--summary"]),
+], ids=["parse", "star", "star-expr-only", "summary"])
+def test_config_file_values_give_the_bytes_of_their_flags(tmp_path, capsys, argv, file_values,
+                                                         flags):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(file_values))
+    code, from_file, err = invoke(argv + ["--config", str(config)], capsys)
+    assert (code, err) == (0, "")
+    assert from_file == invoke(argv + flags, capsys)[1]
+
+
+@pytest.mark.parametrize("argv, file_values, key, from_flag", [
+    (["parse", "--expr", "1/n^3"], {"expression": "1/n^2"}, "expression", "1/n^3"),
+    (["star", "--expr", "1/n^2", "--r", "3", "--n-max", "1024"], {"r": 1}, "r", 3),
+    (["scan", "--r", "2", "--limit", "1000", "--summary"], {"summary": False},
+     "report", "gap_bound_summary"),
+], ids=["expression", "r", "summary"])
+def test_flags_beat_config_file_values(tmp_path, capsys, argv, file_values, key, from_flag):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(file_values))
+    code, out, _ = invoke(argv + ["--config", str(config)], capsys)
+    assert code == 0
+    assert json.loads(out)[key] == from_flag
+    assert out == invoke(argv, capsys)[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["parse"], "'parse' requires --expr"),
+    (["star", "--r", "1"], "'star' requires --expr"),
+    (["star", "--expr", "1/n^2"], "'star' requires --r"),
+    (["gaps", "--limit", "100", "--format", "xml"], "format must be csv or json, got 'xml'"),
+    (["gaps", "--limit", "abc"], "argument --limit: invalid int value: 'abc'"),
+    (["series", "--limit", "100", "--checkpoints", "4,x"], "bad checkpoint list '4,x'"),
+    (["bounds", "--bogus"], "unrecognized arguments: --bogus"),
+    (["frob"], "invalid choice: 'frob'"),
+    ([], "command must be one of"),
+], ids=["parse-no-expr", "star-no-expr", "star-no-r", "format-xml", "limit-abc",
+        "checkpoints-x", "unknown-flag", "unknown-command", "no-command"])
+def test_every_usage_error_is_one_json_object(capsys, argv, message):
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert message in error["message"]
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gaps", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gaplab gaps") and "csv or json" in out
 
 
 def test_run_config_validation_errors():

@@ -23,7 +23,6 @@ from gaplab.sieve import (
     nth_prime,
     prime_count,
     primes_upto,
-    read_prime_dump,
     sieve_primes,
     write_dump_block,
 )
@@ -158,7 +157,7 @@ def test_prime_dump_roundtrip(tmp_path, set_segment_size):
             write_dump_block(fh, block)
             count += len(block)
     assert count == 168
-    back = read_prime_dump(str(path))
+    back = np.fromfile(path, dtype="<i8")
     assert back.tolist() == primes_upto(1000).tolist()
     # little-endian contract: first value is 2
     assert path.read_bytes()[:8] == (2).to_bytes(8, "little")
@@ -300,11 +299,12 @@ _PUBLISHED_P = {
 
 @pytest.mark.parametrize("k", sorted(_PUBLISHED_P))
 def test_window_bounds_hold_at_published_primes(k):
-    # the floor sits 1.0e-3 to 2.9e-3 below p, far beyond its float error
+    # the floor sits 4.2e-5 (k = 17) to 4.2e-4 (k = 6) of p below p, about
+    # 10^10 times its float error
     n, p = 10**k, _PUBLISHED_P[k]
     floor, bound = sieve._nth_prime_floor(n), sieve._nth_prime_bound(n)
     assert floor < p < bound
-    assert p - floor >= 5e-4 * p
+    assert p - floor >= 2e-5 * p
 
 
 def test_threads_is_validated_and_ignored():
@@ -417,6 +417,25 @@ def test_worker_blocks_equal_an_inline_drain(segment_size, set_segment_size):
     for limit, start in cases:
         blocks = [(b.start_index, b.primes.tolist()) for b in sieve_primes(limit, start=start)]
         assert blocks == _inline_blocks(limit, start), (limit, start)
+
+
+def test_a_window_below_19_starts_no_worker(monkeypatch):
+    # every prime below the kernel's first odd number, 19, is in _HEAD
+    started = []
+    start_thread = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread.name)
+        start_thread(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    for limit in range(2, 19):
+        for start in range(1, 21):
+            blocks = [(b.start_index, b.primes.tolist()) for b in sieve_primes(limit, start=start)]
+            assert blocks == _inline_blocks(limit, start), (limit, start)
+    assert not [name for name in started if name.startswith("gaplab-sieve")]
+    assert primes_upto(19)[-1] == 19  # 19 itself comes from the worker
+    assert [name for name in started if name.startswith("gaplab-sieve")]
 
 
 def test_slow_consumer_reads_each_mask_before_it_is_reused(monkeypatch, set_segment_size):
