@@ -10,8 +10,13 @@ pair (b, r) would make prime gaps below roughly r occur infinitely often
 (see demo 05). No such pair exists, by a theorem: if e_n stays bounded,
 then n (b_n/b_{n+1} - 1) = e_n / ln(n) -> 0 < 1, and Raabe's test
 (Knopp, Theory and Application of Infinite Series, §38) makes the sum
-of b_n diverge. This demo measures both axes for classic families on a
-finite range and shows each one fail an axis.
+of b_n diverge. What the divergence of the sum of 1/p_n proves alone is
+Kummer's test with zeta_n = n ln n: for every delta > 0, infinitely many
+n have g_n < p_n (zeta_{n+1} - zeta_n + delta) / zeta_n, about the mean
+gap ln p_n. The scan's threshold p_n r / (n ln n) drops the
+zeta_{n+1} - zeta_n ~ ln n + 1 term, and only a pair (b, r) could pay
+for that. This demo measures both axes for classic families on a finite
+range and shows each one fail an axis.
 
 Run: python demos/04_ratio_excess_and_summability.py
 """

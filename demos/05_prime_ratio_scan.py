@@ -11,10 +11,20 @@ c_n = p_n (r + epsilon) / (n ln n). Because p_n / (n ln n) tends to 1,
 the thresholds approach r + epsilon: a never-ending supply of hits at
 strength r would pin the liminf of the gap at or below about r.
 
+What the divergence of the sum of 1/p_n proves on its own is a theorem
+about a larger threshold. Kummer's test with zeta_n = n ln n gives, for
+every delta > 0, infinitely many n with
+
+    g_n < p_n (zeta_{n+1} - zeta_n + delta) / zeta_n
+        ~ (p_n / n) (1 + (1 + delta) / ln n),
+
+which is about the mean gap ln p_n. The scan's threshold drops the
+zeta_{n+1} - zeta_n ~ ln n + 1 term; only a summable sequence with ratio
+excess tending to r could pay for that, and demo 04 shows that none
+exists. So the hits below are finite-range evidence, never a theorem.
+
 Run: python demos/05_prime_ratio_scan.py
 """
-
-from itertools import islice
 
 from gaplab import export_report, gap_bound_report, prime_ratio_scan
 
@@ -26,9 +36,11 @@ print(f"{scan.hit_count:,} hits among indices [{scan.n_lo}, {scan.n_hi:,}]")
 print(f"min gap among hits = {scan.min_gap_among_hits}, "
       f"max threshold = {scan.max_threshold_among_hits:.4f}, "
       f"borderline hits = {scan.borderline_count}")
-print("first five hits (n, p_n, p_next, g_n, threshold):")
-for hit in islice(scan.iter_hits(), 5):
-    print(f"  {hit[:5]}")
+csv_bytes = export_report(scan, "csv")
+csv_lines = csv_bytes.splitlines()
+print(f"first five hits, as their CSV rows ({csv_lines[0].decode()}):")
+for line in csv_lines[1:6]:
+    print(f"  {line.decode()}")
 print("at this strength the hit set below 10^6 is exactly the twin-prime")
 print("indices: thresholds hover near 2.3, so only gap-2 pairs fit under them.")
 
@@ -53,9 +65,7 @@ print(summary.statement)
 
 print()
 print("== exports ==")
-csv_bytes = export_report(scan, "csv")
 json_bytes = export_report(summary, "json")
-print(f"hits CSV: {len(csv_bytes):,} bytes, header "
-      f"{csv_bytes.splitlines()[0].decode()!r}")
+print(f"hits CSV: {len(csv_bytes):,} bytes")
 print(f"summary JSON: {len(json_bytes):,} bytes, byte-stable across runs and "
       f"thread counts")

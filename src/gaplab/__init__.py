@@ -61,8 +61,6 @@ from .report import (
     SieveSummary,
     export_report,
     parse_report,
-    to_csv,
-    to_json,
 )
 from .series import SeriesCheckpoint, pnt_ratio_track, reciprocal_prime_sum
 from .sieve import (

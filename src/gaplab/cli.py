@@ -6,11 +6,13 @@ scripts can parse them. Identical configs produce byte-identical output
 files regardless of --threads; all numeric output carries 15 significant
 digits.
 
-A JSON config file may supply any RunConfig field by name (e.g.
-{"limit": 1000000, "expression": "1/n^2", "output": "out.json"}; a flag
-spelling such as "expr" or "out" is an unknown key). Each value must have
-its field's type, explicit flags always win, and every usage error,
-argparse's own included, is one JSON object on stderr.
+A JSON config file may supply any RunConfig field of the command's own
+flags by name (e.g. {"limit": 1000000, "output": "out.json"}; a flag
+spelling such as "expr" or "out" is an unknown key, and a field the
+command has no flag for, such as "r" for gaps, is refused as the flag
+would be). Each value must have its field's type, explicit flags always
+win, and every usage error, argparse's own included, is one JSON object
+on stderr.
 """
 
 from __future__ import annotations
@@ -256,6 +258,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             key = key.replace("-", "_")
             if key not in _HINTS or key == "command":
                 raise UsageError(f"config file {path}: unknown key {key!r}")
+            if key not in values:  # values holds the subcommand's own flags
+                raise UsageError(f"config file {path}: {values['command']!r} does not take {key!r}")
             if not _fits(_HINTS[key], val):
                 hint = RunConfig.__annotations__[key]
                 raise UsageError(f"config file {path}: {key} must be {hint}, got {val!r}")

@@ -9,10 +9,10 @@ Grammar (the public contract):
 
 "^" is right-associative and binds tighter than "*"; unary minus lives at
 atom level, so "-n^2" is (-n)^2. NUMBER is an integer or decimal literal
-and is held exactly as a rational, so an exponent like 1.5 loses nothing
-at parse time. Only n and ln are built in: ln-based closed forms cover
-the sequence families this library analyzes, and anything else would be
-an untestable extension.
+of ASCII digits 0-9 and is held exactly as a rational, so an exponent
+like 1.5 loses nothing at parse time. Only n and ln are built in:
+ln-based closed forms cover the sequence families this library analyzes,
+and anything else would be an untestable extension.
 
 Evaluation is one tree walk run in two lanes. eval_sequence_mp computes
 one value through mpmath at extended precision; eval_array is the float64
@@ -118,6 +118,7 @@ SequenceExpr = Union[Number, Var, Ln, Neg, Add, Sub, Mul, Div, Pow]
 # tokenizer
 
 _OPERATORS = "+-*/^()"
+_DIGITS = "0123456789"  # ASCII only: str.isdigit() also takes "²" and "١"
 
 
 @dataclass(frozen=True)
@@ -139,19 +140,19 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j < len(text) and text[j] == ".":
                 j += 1
-                if j >= len(text) or not text[j].isdigit():
+                if j >= len(text) or text[j] not in _DIGITS:
                     raise ExprSyntaxError(
                         f"malformed number at offset {i}: digits must follow '.'",
                         position=j,
                         expected=("digit",),
                     )
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
             tokens.append(_Token("NUMBER", text[i:j], i))
             i = j

@@ -222,10 +222,6 @@ class ComparisonResult:
     last_violation: int | None
     violation_count: int
 
-    @property
-    def holds_on_range(self) -> bool:
-        return self.violation_count == 0
-
 
 # The float lane's chunk, in terms. Each of its float64 temporaries is then
 # 128 KB: it stays in a 2 MB L2 cache and the allocator reuses it, where a
@@ -315,7 +311,7 @@ def _comparison_summary(res: ComparisonResult, expr_text: str, tail_start: int) 
     holds_on_tail = res.last_violation is None or res.last_violation < tail_start
     return {
         "expression": expr_text,
-        "holds_on_range": res.holds_on_range,
+        "holds_on_range": res.violation_count == 0,
         "holds_on_tail": holds_on_tail,
         "tail_start": tail_start,
         "first_violation": res.first_violation,
@@ -405,6 +401,14 @@ class CandidateReport:
     e_n gives n (b_n/b_(n+1) - 1) = e_n / ln n -> 0 < 1, so Raabe's test
     (Knopp, Infinite Series, §38) makes the sum of b_n diverge, and a
     True ``candidate`` could only be a finite-range artefact.
+
+    What the divergence of the sum of 1/p_n proves alone is also a
+    theorem: Kummer's test with zeta_n = n ln n gives, for every
+    delta > 0, infinitely many n with
+    g_n < p_n (zeta_(n+1) - zeta_n + delta) / zeta_n, which is about the
+    mean gap ln p_n. A candidate pair would drop the
+    zeta_(n+1) - zeta_n ~ ln n + 1 term and leave the scan's threshold
+    p_n r / (n ln n); by the theorem above no pair can.
     """
 
     expression: str
@@ -436,7 +440,14 @@ def _check_strength(r: float, epsilon: float) -> None:
 def check_candidate(
     expr: SequenceExpr, r: float, n0: int = 2, n_max: int = 1 << 16
 ) -> CandidateReport:
-    """Judge (expr, r) on both axes; a True candidate is a finite-range artefact only."""
+    """Judge (expr, r) on both axes; a True candidate is a finite-range artefact only.
+
+    The two axes cannot both pass in the limit (Raabe's test; see
+    CandidateReport), so the divergence of the sum of 1/p_n yields only
+    Kummer's threshold p_n (zeta_(n+1) - zeta_n + delta) / zeta_n with
+    zeta_n = n ln n, about the mean gap, never the scan's p_n r / (n ln n).
+    The axes are measured here as finite-range evidence.
+    """
     _check_strength(r, 0.0)
     if not 2 <= n0 < n_max:
         raise ValueError(f"need 2 <= n0 < n_max, got n0={n0}, n_max={n_max}")
@@ -473,11 +484,6 @@ def check_candidate(
 # prime-ratio scan
 
 
-# rows per chunk of ScanReport.iter_hits: a row's Python objects exist for
-# one chunk at a time, not for the whole scan
-_ITER_ROWS = 1 << 13
-
-
 @dataclass
 class ScanReport:
     """Indices where p_{n+1}/p_n < 1 + (r + epsilon)/(n ln n).
@@ -508,21 +514,6 @@ class ScanReport:
     @property
     def borderline_count(self) -> int:
         return int(np.count_nonzero(self.hits_borderline))
-
-    def iter_hits(self) -> Iterator[tuple[int, int, int, int, float, bool]]:
-        """Hit rows (n, p_n, p_next, g_n, threshold, borderline) in index
-        order, converted _ITER_ROWS rows at a time."""
-        for lo in range(0, len(self.hits_n), _ITER_ROWS):
-            rows = slice(lo, lo + _ITER_ROWS)
-            p, g = self.hits_p[rows], self.hits_gap[rows]
-            yield from zip(
-                self.hits_n[rows].tolist(),
-                p.tolist(),
-                (p + g).tolist(),
-                g.tolist(),
-                self.hits_threshold[rows].tolist(),
-                self.hits_borderline[rows].tolist(),
-            )
 
 
 def _recheck_mp(n: int, p: int, g: int, r: float, epsilon: float) -> tuple[bool, bool]:

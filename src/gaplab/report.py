@@ -43,10 +43,6 @@ CSV: each artifact is one table. The two array-backed tables are
 written as a header line plus kernel chunks; the others (histogram,
 series, bounds) go through csv.writer, which quotes the citations. The
 series and bounds headers are their dataclass field names.
-
-to_json and to_csv join the document's byte pieces and decode them;
-export_report writes the same pieces into one buffer, so the exported
-bytes exist once and no str copy of them is made.
 """
 
 from __future__ import annotations
@@ -81,8 +77,6 @@ __all__ = [
     "SieveSummary",
     "ParsedExpression",
     "format_float",
-    "to_json",
-    "to_csv",
     "export_report",
     "parse_report",
 ]
@@ -409,11 +403,6 @@ def _json_document(report) -> Iterable[bytes]:
     return chain(_json_pieces(doc), [b"\n"])
 
 
-def to_json(report) -> str:
-    """Serialize any registered report to deterministic JSON."""
-    return b"".join(_json_document(report)).decode()
-
-
 # ---------------------------------------------------------------------------
 # decoder (round-trip support)
 
@@ -529,11 +518,6 @@ def _csv_table(report):
     if rtype == _BOUNDS:
         return _field_table(GapBoundEntry, [report[name] for name in sorted(report)])
     raise TypeError(f"no CSV schema registered for {type(report).__name__}")
-
-
-def to_csv(report) -> str:
-    """Serialize a report to its documented CSV schema."""
-    return b"".join(_csv_document(report)).decode()
 
 
 def export_report(report, format: str) -> bytes:

@@ -193,6 +193,16 @@ def test_parse_reports_syntax_position(capsys):
     assert doc["error"]["type"] == "ExprSyntaxError"
 
 
+@pytest.mark.parametrize("text, position", [("n^²", 2), ("١", 0)],
+                         ids=["superscript-exponent", "arabic-indic"])
+def test_parse_reports_a_non_ascii_digit_with_its_offset(capsys, text, position):
+    code, out, err = invoke(["parse", "--expr", text], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert (error["type"], error["position"]) == ("ExprSyntaxError", position)
+
+
 def test_parse_emits_canonical_form_and_ast(capsys):
     code, out, _ = invoke(["parse", "--expr", "1/(n^2)"], capsys)
     assert code == 0
@@ -292,8 +302,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     (["series", "--limit", "100"], {"checkpoints": [2, True]}),
     (["sieve", "--limit", "100"], {"threads": True}),
     (["gaps", "--limit", "100"], {"segment_size": 32}),
+    # a field the command has no flag for, refused as the flag would be
+    (["gaps", "--limit", "100"], {"r": 2}),
+    (["bounds"], {"limit": 5}),
 ], ids=["output-int", "summary-str", "limit-float", "n_max-str", "checkpoints-int",
-        "checkpoints-bool-item", "threads-bool", "segment_size-small"])
+        "checkpoints-bool-item", "threads-bool", "segment_size-small", "gaps-r", "bounds-limit"])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, file_values):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(file_values))
@@ -335,7 +348,8 @@ _STAR = "1/(n*ln(n)^2)"
     (["star", "--n-max", "4096"], {"expression": _STAR, "r": 1}, ["--expr", _STAR, "--r", "1"]),
     (["star", "--n-max", "4096", "--r", "1"], {"expression": _STAR}, ["--expr", _STAR]),
     (["scan", "--r", "2", "--limit", "1000"], {"summary": True}, ["--summary"]),
-], ids=["parse", "star", "star-expr-only", "summary"])
+    (["gaps"], {"limit": 1000}, ["--limit", "1000"]),
+], ids=["parse", "star", "star-expr-only", "summary", "gaps-limit"])
 def test_config_file_values_give_the_bytes_of_their_flags(tmp_path, capsys, argv, file_values,
                                                          flags):
     config = tmp_path / "run.json"

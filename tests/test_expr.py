@@ -113,6 +113,16 @@ def test_empty_and_malformed_numbers():
         parse_sequence("$n")
 
 
+@pytest.mark.parametrize("text, position", [("n^²", 2), ("١", 0), ("1.²", 2), ("2١", 1)],
+                         ids=["superscript-exponent", "arabic-indic", "superscript-decimal",
+                              "arabic-indic-after-digit"])
+def test_a_number_is_ascii_digits_only(text, position):
+    # str.isdigit() takes the superscript and the Arabic-Indic digit
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_sequence(text)
+    assert exc.value.position == position
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

@@ -27,7 +27,7 @@ from gaplab.ratios import (
     summability_probe,
 )
 
-from gaplab.report import export_report, to_csv, to_json
+from gaplab.report import export_report
 from gaplab.sieve import primes_upto
 
 from oracles import brute_force_scan, gap_records, mp_ratio_excess
@@ -132,17 +132,17 @@ def test_extrapolation_table_carries_differences():
 
 def test_comparison_equal_sequences_hold_trivially():
     res = ratio_comparison(expr("1/n"), expr("1/n"), 2, 500)
-    assert res.holds_on_range
+    assert res.violation_count == 0
 
 
 def test_comparison_inverse_square_dominates_harmonic():
     res = ratio_comparison(expr("1/(n^2)"), expr("1/n"), 2, 10**4)
-    assert res.holds_on_range
+    assert res.violation_count == 0
 
 
 def test_comparison_first_violation_is_reported():
     res = ratio_comparison(expr("1/n"), expr("1/(n^2)"), 2, 100)
-    assert not res.holds_on_range
+    assert res.violation_count
     assert res.first_violation == 2
 
 
@@ -217,7 +217,7 @@ def test_comparison_consequence_transfers_geometric_decay():
     # if a's ratio dominates b's on the range and b's dyadic increments
     # shrink geometrically, a's must as well
     a, b = expr("1/(n^3)"), expr("1/(n^2)")
-    assert ratio_comparison(a, b, 2, 2**13).holds_on_range
+    assert ratio_comparison(a, b, 2, 2**13).violation_count == 0
     pa = summability_probe(a, 2**13)
     pb = summability_probe(b, 2**13)
     assert pb.geometric_decay
@@ -308,6 +308,34 @@ def test_probe_range_validation():
 
 
 # ---------------------------------------------------------------------------
+# the theorems behind the two axes, on b_n = 1/ln(n)^s
+#
+# b_n/b_(n+1) = (ln(n+1)/ln n)^s is about 1 + s/(n ln n), and the divergent
+# reference's ratio (n+1) ln(n+1)/(n ln n) is about 1 + (ln n + 1)/(n ln n),
+# so the reference dominates once ln n + 1 > s, from about e^(s-1) on: the
+# inequality by which Raabe's test makes the sum of b_n diverge.
+
+
+@pytest.mark.parametrize("s", ["1", "2", "3", "3.5"])
+def test_divergent_reference_dominates_log_powers_from_e_to_the_s_minus_1(s):
+    probe = summability_probe(expr(f"1/ln(n)^{s}"), 2**20)
+    last = probe.reference_comparisons["divergent_reference"]["last_violation"]
+    assert last is None or last < math.exp(float(s) - 1)
+    assert probe.verdict == "diverging-evidence"
+
+
+@pytest.mark.parametrize("s", ["1", "2", "3", "3.5"])
+def test_log_power_excess_stays_below_ln_n(s):
+    # e_n tends to s, so e_n < ln n from about e^s on;
+    # e^(s+1) leaves room for the 1/ln n terms. Checked through 2^60
+    b = expr(f"1/ln(n)^{s}")
+    ns = [2**k for k in range(1, 61) if 2**k > math.exp(float(s) + 1)]
+    assert ns[0] <= 128
+    for n in ns:
+        assert ratio_excess(b, n) < math.log(n), n
+
+
+# ---------------------------------------------------------------------------
 # combined candidate check
 
 
@@ -373,26 +401,6 @@ def test_candidate_check_validation():
 # prime-ratio scan
 
 
-def test_scan_tiny_range_matches_hand_computation():
-    report = prime_ratio_scan(2.0, 0.0, 12)
-    hits = list(report.iter_hits())
-    assert [h[0] for h in hits] == [2, 3]
-    # n=2: 5/3 < 1 + 2/(2 ln 2); n=3: 7/5 < 1 + 2/(3 ln 3); n=4 misses
-    assert math.isclose(hits[0][4], 3 * 2 / (2 * math.log(2)), rel_tol=1e-12)
-    assert report.min_gap_among_hits == 2
-
-
-def test_scan_limit_30(oracle_primes_1m):
-    report = prime_ratio_scan(2.0, 0.0, 30)
-    hits = list(report.iter_hits())
-    oracle = brute_force_scan(oracle_primes_1m, 2.0, 0.0, 30)
-    assert [(n, p, q, g) for n, p, q, g, _t, _b in hits] == oracle
-    assert all(g == 2 for _n, _p, _q, g, _t, _b in hits)
-    # thresholds sit in (2, 3.1] from n=3 on; the n=2 threshold is 4.328
-    assert all(2 < t <= 3.1 for n, _p, _q, _g, t, _b in hits if n >= 3)
-    assert math.isclose(hits[0][4], 4.328085122666891, rel_tol=1e-12)
-
-
 def _hit_rows(report):
     """The hit rows built from the whole columns at once."""
     return list(
@@ -407,22 +415,40 @@ def _hit_rows(report):
     )
 
 
+def test_scan_tiny_range_matches_hand_computation():
+    report = prime_ratio_scan(2.0, 0.0, 12)
+    hits = _hit_rows(report)
+    assert [h[0] for h in hits] == [2, 3]
+    # n=2: 5/3 < 1 + 2/(2 ln 2); n=3: 7/5 < 1 + 2/(3 ln 3); n=4 misses
+    assert math.isclose(hits[0][4], 3 * 2 / (2 * math.log(2)), rel_tol=1e-12)
+    assert report.min_gap_among_hits == 2
+
+
+def test_scan_limit_30(oracle_primes_1m):
+    report = prime_ratio_scan(2.0, 0.0, 30)
+    hits = _hit_rows(report)
+    oracle = brute_force_scan(oracle_primes_1m, 2.0, 0.0, 30)
+    assert [(n, p, q, g) for n, p, q, g, _t, _b in hits] == oracle
+    assert all(g == 2 for _n, _p, _q, g, _t, _b in hits)
+    # thresholds sit in (2, 3.1] from n=3 on; the n=2 threshold is 4.328
+    assert all(2 < t <= 3.1 for n, _p, _q, _g, t, _b in hits if n >= 3)
+    assert math.isclose(hits[0][4], 4.328085122666891, rel_tol=1e-12)
+
+
 def test_hit_rows_are_chunk_invariant(monkeypatch):
     default = report_module._HIT_ROWS
     report = prime_ratio_scan(2.0, 0.0, 10**4)
-    whole = _hit_rows(report)
-    json_text, csv_text = to_json(report), to_csv(report)
+    json_text, csv_text = export_report(report, "json"), export_report(report, "csv")
     primes = primes_upto(10**4)
-    primes_text = to_csv(primes)
-    assert list(report.iter_hits()) == whole
+    primes_text = export_report(primes, "csv")
     # 7 leaves a partial last chunk
-    assert len(whole) > 7 and len(whole) % 7
+    assert report.hit_count > 7 and report.hit_count % 7
     assert len(primes) > 7 and len(primes) % 7
     for hit_rows in (1, 7):
         monkeypatch.setattr("gaplab.report._HIT_ROWS", hit_rows)
-        assert to_json(report) == json_text
-        assert to_csv(report) == csv_text
-        assert to_csv(primes) == primes_text
+        assert export_report(report, "json") == json_text
+        assert export_report(report, "csv") == csv_text
+        assert export_report(primes, "csv") == primes_text
     # the default chunk and the earlier 2^14 one, each over several chunks
     # and a partial last one: 67,110 hits and 78,498 primes below 10^6
     big = prime_ratio_scan(20.0, 0.0, 10**6)
@@ -432,41 +458,18 @@ def test_hit_rows_are_chunk_invariant(monkeypatch):
         monkeypatch.setattr("gaplab.report._HIT_ROWS", hit_rows)
         assert big.hit_count > 2 * hit_rows and big.hit_count % hit_rows
         assert len(big_primes) > 2 * hit_rows and len(big_primes) % hit_rows
-        texts[hit_rows] = (to_json(big), to_csv(big), to_csv(big_primes))
+        texts[hit_rows] = (
+            export_report(big, "json"),
+            export_report(big, "csv"),
+            export_report(big_primes, "csv"),
+        )
     assert texts[1 << 14] == texts[default]
     # the rows csv.writer wrote before the row template replaced it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("index", "prime"))
     writer.writerows(enumerate(primes.tolist(), start=1))
-    assert primes_text == buf.getvalue()
-
-
-@pytest.mark.parametrize("iter_rows", [None, 7])
-def test_iter_hits_matches_the_columns_across_chunk_edges(monkeypatch, iter_rows):
-    if iter_rows is not None:
-        monkeypatch.setattr(ratios, "_ITER_ROWS", iter_rows)
-    # 14,871 twin pairs below 2 * 10^6: one edge at the default chunk
-    report = prime_ratio_scan(2.0, 0.0, 2 * 10**6)
-    assert report.hit_count % ratios._ITER_ROWS
-    if iter_rows is None:
-        assert ratios._ITER_ROWS < report.hit_count < 2 * ratios._ITER_ROWS
-    assert list(report.iter_hits()) == _hit_rows(report)
-
-
-def test_first_hit_row_converts_one_chunk():
-    """Taking one row converts one chunk of each column, not the whole
-    scan: the six lists of a chunk hold about 170 bytes per row."""
-    report = prime_ratio_scan(20.0, 0.0, 2 * 10**6)
-    assert report.hit_count > 10 * ratios._ITER_ROWS
-    tracemalloc.start()
-    try:
-        row = next(report.iter_hits())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert row == _hit_rows(report)[0]
-    assert peak < 400 * ratios._ITER_ROWS, peak
+    assert primes_text == buf.getvalue().encode()
 
 
 def test_scan_holds_each_hit_once(set_segment_size):
@@ -492,7 +495,7 @@ def test_scan_holds_each_hit_once(set_segment_size):
 def test_scan_matches_brute_force_oracle(oracle_primes_1m):
     report = prime_ratio_scan(3.0, 0.25, 10**4)
     oracle = brute_force_scan(oracle_primes_1m, 3.0, 0.25, 10**4)
-    assert [(n, p, q, g) for n, p, q, g, _t, _b in report.iter_hits()] == oracle
+    assert [(n, p, q, g) for n, p, q, g, _t, _b in _hit_rows(report)] == oracle
 
 
 def test_scan_start_at_segment_edges(oracle_primes_1m, set_segment_size):
@@ -677,11 +680,11 @@ def test_borderline_hits_are_flagged():
     # flagged borderline; nudge the other way and the hit disappears
     r_star = (5 / 3 - 1) * 2 * math.log(2)
     just_over = prime_ratio_scan(r_star * (1 + 1e-13), 0.0, 12)
-    twos = [h for h in just_over.iter_hits() if h[0] == 2]
+    twos = [h for h in _hit_rows(just_over) if h[0] == 2]
     assert len(twos) == 1 and twos[0][5] is True
     assert just_over.borderline_count >= 1
     just_under = prime_ratio_scan(r_star * (1 - 1e-13), 0.0, 12)
-    assert all(h[0] != 2 for h in just_under.iter_hits())
+    assert all(h[0] != 2 for h in _hit_rows(just_under))
 
 
 def test_borderline_flags_land_on_their_rows_across_segments(monkeypatch, set_segment_size):
@@ -690,7 +693,7 @@ def test_borderline_flags_land_on_their_rows_across_segments(monkeypatch, set_se
     set_segment_size(64)
     monkeypatch.setattr(ratios, "BORDERLINE_REL", 2e-4)
     report = prime_ratio_scan(3.0, 0.0, 2 * 10**4)
-    rows = list(report.iter_hits())
+    rows = _hit_rows(report)
     flags = [b for *_, b in rows]
     assert 0 < sum(flags) < len(rows)
     for (n, p, q, _g, _t, borderline) in rows:
@@ -704,7 +707,7 @@ def test_borderline_flags_where_the_threshold_exceeds_the_prime(monkeypatch):
     # at r = 50) that only the thr term sends to mpmath
     monkeypatch.setattr(ratios, "BORDERLINE_REL", 0.6)
     for r in (20.0, 50.0):
-        rows = list(prime_ratio_scan(r, 0.0, 200).iter_hits())
+        rows = _hit_rows(prime_ratio_scan(r, 0.0, 200))
         flags = [b for *_, b in rows]
         assert 0 < sum(flags) < len(rows), r
         for (n, p, q, _g, _t, borderline) in rows:
@@ -737,7 +740,7 @@ def test_near_tie_decisions_match_exact_arithmetic(oracle_primes_1m, n):
     primes = oracle_primes_1m[:30]
     flagged = missed = 0
     for r in rs:
-        hits = list(prime_ratio_scan(r, 0.0, 100).iter_hits())
+        hits = _hit_rows(prime_ratio_scan(r, 0.0, 100))
         assert [h[:4] for h in hits] == brute_force_scan(primes, r, 0.0, 100)
         for hn, hp, hq, _g, _t, borderline in hits:
             m = _exact_margin(hn, hp, hq, r, 0.0)

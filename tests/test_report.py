@@ -30,8 +30,6 @@ from gaplab.report import (
     export_report,
     format_float,
     parse_report,
-    to_csv,
-    to_json,
 )
 from gaplab.series import reciprocal_prime_sum
 from gaplab.sieve import primes_upto
@@ -73,8 +71,7 @@ def test_format_float_is_15_significant_digits():
 
 def test_json_is_versioned_and_sorted():
     for report in all_reports():
-        text = to_json(report)
-        doc = json.loads(text)
+        doc = json.loads(export_report(report, "json"))
         assert doc["schema_version"] == SCHEMA_VERSION
         assert "report" in doc
         keys = list(doc)
@@ -83,60 +80,59 @@ def test_json_is_versioned_and_sorted():
 
 def test_json_round_trip_reproduces_bytes():
     for report in all_reports():
-        first = to_json(report)
-        again = to_json(parse_report(first))
+        first = export_report(report, "json")
+        again = export_report(parse_report(first), "json")
         assert again == first, type(report).__name__
 
 
 def test_scan_report_fields():
-    doc = json.loads(to_json(prime_ratio_scan(2.0, 0.0, 10**4)))
+    doc = json.loads(export_report(prime_ratio_scan(2.0, 0.0, 10**4), "json"))
     for key in ("r", "epsilon", "hit_count", "min_gap_among_hits", "hits"):
         assert key in doc
 
 
 def test_histogram_csv_schema():
-    text = to_csv(gpy_statistics(10**4))
+    text = export_report(gpy_statistics(10**4), "csv")
     lines = text.splitlines()
-    assert lines[0] == "gap,count"
-    assert lines[1] == "1,1"
-    assert "\r" not in text
+    assert lines[0] == b"gap,count"
+    assert lines[1] == b"1,1"
+    assert b"\r" not in text
 
 
 def test_series_csv_schema():
-    text = to_csv(reciprocal_prime_sum(100, checkpoints=[1, 4, 25]))
-    lines = text.splitlines()
-    assert lines[0] == "n,p_n,partial_sum,pnt_ratio,loglog_gap"
+    lines = export_report(reciprocal_prime_sum(100, checkpoints=[1, 4, 25]), "csv").splitlines()
+    assert lines[0] == b"n,p_n,partial_sum,pnt_ratio,loglog_gap"
     # n=1 leaves the undefined columns empty
-    assert lines[1].startswith("1,2,0.5,,")
+    assert lines[1].startswith(b"1,2,0.5,,")
     assert len(lines) == 4
 
 
 def test_scan_csv_schema():
     report = prime_ratio_scan(2.0, 0.0, 100)
-    lines = to_csv(report).splitlines()
-    assert lines[0] == "n,p_n,p_next,g_n,threshold,borderline"
-    assert lines[1].split(",")[:4] == ["2", "3", "5", "2"]
-    assert lines[1].endswith("false")
+    lines = export_report(report, "csv").splitlines()
+    assert lines[0] == b"n,p_n,p_next,g_n,threshold,borderline"
+    assert lines[1].split(b",")[:4] == [b"2", b"3", b"5", b"2"]
+    assert lines[1].endswith(b"false")
 
 
 def test_bounds_exports():
     table = literature_bounds()
-    assert "70000000" in to_json(table)
-    csv_text = to_csv(table)
-    assert csv_text.splitlines()[0] == "name,bound,citation"
-    assert "zhang,70000000" in csv_text
+    assert b"70000000" in export_report(table, "json")
+    csv_text = export_report(table, "csv")
+    assert csv_text.splitlines()[0] == b"name,bound,citation"
+    assert b"zhang,70000000" in csv_text
 
 
 def test_primes_csv():
-    lines = to_csv(primes_upto(10)).splitlines()
-    assert lines == ["index,prime", "1,2", "2,3", "3,5", "4,7"]
+    lines = export_report(primes_upto(10), "csv").splitlines()
+    assert lines == [b"index,prime", b"1,2", b"2,3", b"3,5", b"4,7"]
 
 
 def test_unknown_type_and_format_are_rejected():
     with pytest.raises(TypeError):
-        to_json(object())
+        export_report(object(), "json")
     with pytest.raises(TypeError):
-        to_csv(check_candidate(parse_sequence("1/n"), 2.0, n_max=2**10))
+        export_report(check_candidate(parse_sequence("1/n"), 2.0, n_max=2**10), "csv")
     with pytest.raises(ValueError):
         export_report(literature_bounds(), "xml")
 
@@ -148,21 +144,20 @@ def test_export_report_returns_bytes():
 
 
 def test_parse_report_rejects_other_versions():
-    text = to_json(SieveSummary(10, 4, 7)).replace('"schema_version":"1"', '"schema_version":"9"')
+    data = export_report(SieveSummary(10, 4, 7), "json")
+    data = data.replace(b'"schema_version":"1"', b'"schema_version":"9"')
     with pytest.raises(ValueError):
-        parse_report(text)
+        parse_report(data)
 
 
 def test_parsed_scan_preserves_arrays():
     report = prime_ratio_scan(2.0, 0.0, 10**3)
-    back = parse_report(to_json(report))
+    back = parse_report(export_report(report, "json"))
     assert np.array_equal(back.hits_n, report.hits_n)
     assert back.hits_threshold.dtype == np.float64
 
 
-def _sha256(data: str | bytes) -> str:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
@@ -255,14 +250,14 @@ def test_cli_artifacts_match_golden_bytes(tmp_path):
 
 def _csv_sha256(report) -> str | None:
     try:
-        return _sha256(to_csv(report))
+        return _sha256(export_report(report, "csv"))
     except TypeError:
         return None
 
 
 def test_report_exports_match_golden_bytes():
     got = {
-        f"{i} {type(report).__name__}": (_sha256(to_json(report)), _csv_sha256(report))
+        f"{i} {type(report).__name__}": (_sha256(export_report(report, "json")), _csv_sha256(report))
         for i, report in enumerate(all_reports())
     }
     assert got == GOLDEN_REPORT_SHA256
@@ -306,10 +301,9 @@ def test_hand_built_scan_matches_golden_bytes(monkeypatch, hit_rows):
     scan = hand_scan()
     summary = GapBoundSummary(scan=scan, implied_bound=15000000000000000, statement="hand-built")
     got = {
-        "scan.json": _sha256(to_json(scan)),
-        "scan.csv": _sha256(to_csv(scan)),
-        "summary.json": _sha256(to_json(summary)),
-        "summary.csv": _sha256(to_csv(summary)),
+        f"{name}.{fmt}": _sha256(export_report(report, fmt))
+        for name, report in (("scan", scan), ("summary", summary))
+        for fmt in ("json", "csv")
     }
     assert got == GOLDEN_HAND_SCAN_SHA256
 
@@ -328,9 +322,9 @@ GOLDEN_EXACT_SUM_SHA256 = {
 
 def test_exact_sum_exports_match_golden_bytes():
     series = reciprocal_prime_sum(10**7)
-    got = {"series 1e7 json": _sha256(to_json(series)), "series 1e7 csv": _sha256(to_csv(series))}
+    got = {f"series 1e7 {fmt}": _sha256(export_report(series, fmt)) for fmt in ("json", "csv")}
     for text in ("1/(n*ln(n)^2)", "1/ln(n)^2", "(3+(0-1)^n)/n^2"):
-        got[text] = _sha256(to_json(check_candidate(parse_sequence(text), 1.0, 2, 2**20)))
+        got[text] = _sha256(export_report(check_candidate(parse_sequence(text), 1.0, 2, 2**20), "json"))
     assert got == GOLDEN_EXACT_SUM_SHA256
 
 

@@ -15,7 +15,7 @@ import gaplab.sieve as sieve
 from gaplab.errors import CapacityError
 from gaplab.gaps import gpy_statistics, iter_gap_blocks, polignac_count
 from gaplab.ratios import gap_bound_report, prime_ratio_scan
-from gaplab.report import to_csv, to_json
+from gaplab.report import export_report
 from gaplab.series import pnt_ratio_track, reciprocal_prime_sum
 from gaplab.sieve import (
     MAX_LIMIT,
@@ -350,17 +350,12 @@ def _columns(blocks) -> tuple[list, ...]:
 _EDGE_LIMIT = 2 * 10**5
 
 
-def _texts(report) -> tuple[str, str]:
-    """A report's JSON and CSV exports."""
-    return to_json(report), to_csv(report)
-
-
 # each stream function at _EDGE_LIMIT, its result made comparable with ==
 _EDGE_RUNS = {
     "sieve_primes": lambda: _columns(
         (b.start_index + np.arange(len(b)), b.primes) for b in sieve_primes(_EDGE_LIMIT)
     ),
-    "primes_upto": lambda: to_csv(primes_upto(_EDGE_LIMIT)),
+    "primes_upto": lambda: export_report(primes_upto(_EDGE_LIMIT), "csv"),
     "prime_count": lambda: prime_count(_EDGE_LIMIT),
     "nth_prime": lambda: [nth_prime(n) for n in (1, 5, 6, 1000, 17_984)],
     "iter_gap_blocks": lambda: _columns(
@@ -370,8 +365,10 @@ _EDGE_RUNS = {
     "gpy_statistics": lambda: gpy_statistics(_EDGE_LIMIT),
     "reciprocal_prime_sum": lambda: reciprocal_prime_sum(_EDGE_LIMIT),
     "pnt_ratio_track": lambda: pnt_ratio_track(checkpoints=[2, 3, 1000, 17_000]),
-    "prime_ratio_scan": lambda: _texts(prime_ratio_scan(2.0, 0.0, _EDGE_LIMIT)),
-    "gap_bound_report": lambda: to_json(gap_bound_report(3.0, 0.5, _EDGE_LIMIT, 10)),
+    "prime_ratio_scan": lambda: [
+        export_report(prime_ratio_scan(2.0, 0.0, _EDGE_LIMIT), fmt) for fmt in ("json", "csv")
+    ],
+    "gap_bound_report": lambda: export_report(gap_bound_report(3.0, 0.5, _EDGE_LIMIT, 10), "json"),
 }
 
 
