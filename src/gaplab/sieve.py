@@ -14,15 +14,18 @@ after another by one kernel:
   odd multiple (the first one at or above max(p^2, lo)), relative to the
   current segment, in one int64 array; a segment clears with one strided
   write per base prime whose p^2 lies below its end, and the offsets are
-  carried to the next segment without recomputing a start.
+  carried to the next segment without recomputing a start;
+- the kernel sieves its own base primes: _segments drains itself up to
+  sqrt(limit) on its own thread (_kernel_primes starts no executor), and
+  the recursion ends below 19, where the kernel asks for no base primes.
 
 The primes below 19 (2 and the six wheel primes) come from one table,
 _HEAD, never from a bitmap: sieve_primes yields the ones in its window
 as its first block and then turns each bitmap into a block of primes.
 A stream that starts above 2 takes the global index of its first prime
 from pi(lo - 1), and pi comes from the Lucy recursion, a Legendre-sum
-form of Meissel-Lehmer that needs no sieve: prime_count answers from it
-alone.
+form of Meissel-Lehmer that sieves only up to sqrt(x), with the same
+kernel: prime_count answers from it alone and starts no thread.
 Every segment covers DEFAULT_SEGMENT_SIZE odd numbers, which no caller
 sets: the prime stream and every output are the same at any segment
 size, and the tests place segment edges by patching this constant.
@@ -82,7 +85,9 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 _WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
 _WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)
 
-# Every prime below the kernel's first odd number, 19: no bitmap holds one
+# The kernel's first odd number, the first prime above the wheel primes;
+# _HEAD holds every prime below it, so no bitmap holds one
+_FIRST = 19
 _HEAD = np.array([2, *_WHEEL_PRIMES], dtype=np.int64)
 
 
@@ -100,18 +105,6 @@ class PrimeBlock:
 
     def __len__(self) -> int:
         return len(self.primes)
-
-
-def _small_sieve(limit: int) -> np.ndarray:
-    """Dense sieve for base primes up to sqrt(limit); int64 values."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
 
 
 def _wheel_pattern(length: int) -> np.ndarray:
@@ -134,7 +127,7 @@ def _validate_limit(limit: int, name: str = "limit") -> int:
 
 
 def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (low, mask) for the odd numbers in [max(lo, 19), limit], one segment at a time.
+    """Yield (low, mask) for the odd numbers in [max(lo, _FIRST), limit], one segment at a time.
 
     mask[i] is True iff low + 2i is prime. The segments alternate between
     two buffers, so mask k is overwritten by segment k + 2: a consumer
@@ -143,7 +136,7 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
     executor sieves mask k + 1 during the read, and segment k + 2 is
     submitted only after it.
     """
-    first = max(lo | 1, 19)
+    first = max(lo | 1, _FIRST)
     if first > limit:
         return
     n_odds = (limit - first) // 2 + 1
@@ -152,8 +145,7 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
     pattern = _wheel_pattern(_WHEEL_PERIOD + width)
     buf, spare = np.empty(width, dtype=bool), np.empty(width, dtype=bool)
 
-    base = _small_sieve(math.isqrt(limit))
-    p = base[base > _WHEEL_PRIMES[-1]]
+    p = _kernel_primes(math.isqrt(limit))
     p2 = p * p
     # odd-index offset of each base prime's next odd multiple, relative to
     # the current segment's low: the first one at or above max(p^2, first)
@@ -209,6 +201,12 @@ def _sieve_ahead(lo: int, limit: int) -> Iterator[np.ndarray]:
         pool.shutdown(cancel_futures=True)
 
 
+def _kernel_primes(n: int) -> np.ndarray:
+    """The primes _FIRST <= p <= n as one int64 array, drained from _segments on this thread."""
+    blocks = [np.flatnonzero(mask) * 2 + low for low, mask in _segments(_FIRST, n)]
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+
+
 def _prime_pi(x: int) -> int:
     """pi(x) by the Lucy recursion, a Legendre-sum form of Meissel-Lehmer.
 
@@ -226,7 +224,7 @@ def _prime_pi(x: int) -> int:
     i = np.arange(r + 1, dtype=np.int64)
     small = i - 1  # small[v] = S(v), v <= r
     large = x // np.maximum(i, 1) - 1  # large[i] = S(x // i), 1 <= i <= r
-    for k, p in enumerate(_small_sieve(r).tolist()):
+    for k, p in enumerate(chain(_HEAD[_HEAD <= r].tolist(), _kernel_primes(r).tolist())):
         # k = pi(p - 1); every right side copies the values from before this round
         p2 = p * p
         top = min(r, x // p2)
@@ -245,7 +243,7 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
     global whatever the start. A start at or below 2 streams every prime
     and needs no pi; a start above limit streams nothing. The primes of
     _HEAD in the window, if any, form the first block, and each non-empty
-    segment of the kernel, which starts at 19, forms one block after it.
+    segment of the kernel, which starts at _FIRST, forms one block after it.
 
     Args:
       limit: inclusive upper bound, >= 2.
@@ -270,8 +268,8 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
 
     count = _prime_pi(start - 1)
     head = _HEAD[(start <= _HEAD) & (_HEAD <= limit)]
-    # a window below the kernel's first odd number, 19, starts no worker
-    tail = _sieve_ahead(start, limit) if max(start | 1, 19) <= limit else ()
+    # a window below the kernel's first odd number starts no worker
+    tail = _sieve_ahead(start, limit) if max(start | 1, _FIRST) <= limit else ()
     for primes in chain([head], tail):
         if len(primes):
             primes.flags.writeable = False

@@ -219,6 +219,40 @@ def test_prime_pi_matches_dense_sieve(oracle_4m):
         assert sieve._prime_pi(x) == _pi_oracle(oracle_4m, x), x
 
 
+# ---------------------------------------------------------------------------
+# the kernel's own base primes: _kernel_primes drains _segments from 19, and
+# _segments takes its base primes from _kernel_primes at isqrt(limit)
+
+# every bound up to 400, past the first base prime's square (19^2 = 361), and
+# each side of 19^2, 23^2 and 1009^2, where a base prime joins the recursion
+_DRAIN_BOUNDS = list(range(401)) + [q * q + d for q in (19, 23, 1009) for d in (-1, 0, 1)]
+
+
+@pytest.fixture(scope="module")
+def oracle_drain() -> np.ndarray:
+    return np.array(dense_sieve(max(_DRAIN_BOUNDS)), dtype=np.int64)
+
+
+@pytest.mark.parametrize("segment_size", [1, 64, 101, 4099])
+def test_kernel_primes_match_dense_sieve(segment_size, oracle_drain, set_segment_size):
+    # at one odd number per segment a drain to 1009^2 walks 509,000
+    # segments, about 40 s, so that size stops at 23^2 + 1
+    set_segment_size(segment_size)
+    for n in _DRAIN_BOUNDS:
+        if segment_size == 1 and n > 1000:
+            continue
+        got = sieve._kernel_primes(n)
+        assert got.dtype == np.int64, n
+        assert np.array_equal(got, oracle_drain[(oracle_drain >= 19) & (oracle_drain <= n)]), n
+
+
+@pytest.mark.parametrize("segment_size", [1, 64, 101, 4099])
+def test_prime_pi_matches_dense_sieve_at_the_drain_bounds(segment_size, oracle_drain, set_segment_size):
+    set_segment_size(segment_size)
+    for x in _DRAIN_BOUNDS:
+        assert sieve._prime_pi(x) == _pi_oracle(oracle_drain, x), x
+
+
 def test_prime_pi_at_published_values():
     # OEIS A006880
     assert sieve._prime_pi(10**9) == 50_847_534
@@ -416,23 +450,40 @@ def test_worker_blocks_equal_an_inline_drain(segment_size, set_segment_size):
         assert blocks == _inline_blocks(limit, start), (limit, start)
 
 
-def test_a_window_below_19_starts_no_worker(monkeypatch):
-    # every prime below the kernel's first odd number, 19, is in _HEAD
+@pytest.fixture
+def sieve_threads_started(monkeypatch) -> list[str]:
+    """The names of the sieve worker threads started from now on, in start order."""
     started = []
     start_thread = threading.Thread.start
 
     def recorded(thread):
-        started.append(thread.name)
+        if thread.name.startswith("gaplab-sieve"):
+            started.append(thread.name)
         start_thread(thread)
 
     monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
+
+
+def test_a_window_below_19_starts_no_worker(sieve_threads_started):
+    # every prime below the kernel's first odd number, 19, is in _HEAD
     for limit in range(2, 19):
         for start in range(1, 21):
             blocks = [(b.start_index, b.primes.tolist()) for b in sieve_primes(limit, start=start)]
             assert blocks == _inline_blocks(limit, start), (limit, start)
-    assert not [name for name in started if name.startswith("gaplab-sieve")]
+    assert not sieve_threads_started
     assert primes_upto(19)[-1] == 19  # 19 itself comes from the worker
-    assert [name for name in started if name.startswith("gaplab-sieve")]
+    assert sieve_threads_started
+
+
+@pytest.mark.parametrize("segment_size", [1, 64, 101, 4099])
+def test_prime_count_starts_no_worker(segment_size, sieve_threads_started, set_segment_size):
+    # pi's primes up to 1000 are drained on this thread, as are their base primes
+    set_segment_size(segment_size)
+    assert prime_count(10**6) == 78498
+    assert not sieve_threads_started
+    assert len(primes_upto(1000)) == 168
+    assert sieve_threads_started
 
 
 def test_slow_consumer_reads_each_mask_before_it_is_reused(monkeypatch, set_segment_size):
