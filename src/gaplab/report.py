@@ -6,13 +6,14 @@ decimals and no thousands separators; every numeric value is printed with
 bytes on every platform and thread count. Each JSON document embeds the
 schema version and its report kind.
 
-One encoder (`_to_obj`) and its inverse (`_from_obj`), both driven by the
-report dataclasses, cover every report. Each dataclass field becomes a key
-of the same name; tuples and lists become lists; a Fraction becomes its
-str; an int-keyed dict (the gap histogram) becomes sorted [key, value]
-pairs; an expression node adds "op", its class name in lower case. The
-decoder follows the field type hints: ints become floats where the hint
-says float, and the SequenceExpr union is resolved through "op".
+One walk (`_json_pieces`) writes every report straight to JSON text, and
+one decoder (`_from_obj`) inverts it; both are driven by the report
+dataclasses, and no intermediate tree is built. Each dataclass field
+becomes a key of the same name; tuples and lists become lists; a Fraction
+becomes its str; an int-keyed dict (the gap histogram) becomes sorted
+[key, value] pairs; an expression node adds "op", its class name in lower
+case. The decoder follows the field type hints: ints become floats where
+the hint says float, and the SequenceExpr union is resolved through "op".
 
 Written out by hand, and only these: GapStats adds its "note"; ScanReport
 writes its hit arrays (array fields are never keys) as "hits" rows and
@@ -316,40 +317,33 @@ def _prime_text(primes: np.ndarray) -> Iterator[bytes]:
 # encoder
 
 
-def _to_obj(value):
-    """A report value as plain lists, dicts and scalars (rules above)."""
-    if is_dataclass(value):
-        obj = {
-            f.name: _to_obj(v)
-            for f in fields(value)
-            if not isinstance(v := getattr(value, f.name), np.ndarray)
-        }
-        if isinstance(value, _NODE_TYPES):
-            obj["op"] = type(value).__name__.lower()
-        elif isinstance(value, GapStats):
-            obj["note"] = _GAP_NOTE
-        elif isinstance(value, ScanReport):
-            obj["hits"] = _hit_text(value, as_json=True)
-            obj["borderline_count"] = value.borderline_count
-        return obj
-    if isinstance(value, (list, tuple)):
-        return [_to_obj(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        if all(isinstance(k, int) for k in value):
-            return [[k, _to_obj(v)] for k, v in sorted(value.items())]
-        return {k: _to_obj(v) for k, v in value.items()}
-    return value
+def _json_fields(value) -> dict:
+    """A dataclass as its JSON object: each field that is not an array
+    under its own name, plus the keys written out by hand (rules above)."""
+    obj = {f.name: v for f in fields(value) if not isinstance(v := getattr(value, f.name), np.ndarray)}
+    if isinstance(value, _NODE_TYPES):
+        obj["op"] = type(value).__name__.lower()
+    elif isinstance(value, GapStats):
+        obj["note"] = _GAP_NOTE
+    elif isinstance(value, ScanReport):
+        obj["hits"] = _hit_text(value, as_json=True)
+        obj["borderline_count"] = value.borderline_count
+    return obj
 
 
 def _json_pieces(value) -> Iterator[bytes]:
-    """UTF-8 JSON text of a _to_obj result, in pieces: keys sorted, floats
-    via format_float.
+    """UTF-8 JSON text of a report value, in pieces (rules above): keys
+    sorted, floats via format_float.
 
     An iterator holds pre-encoded JSON items (the scan hit chunks); each
     is yielded as it is.
     """
+    if is_dataclass(value):
+        value = _json_fields(value)
+    elif isinstance(value, Fraction):
+        value = str(value)
+    elif isinstance(value, dict) and all(isinstance(k, int) for k in value):
+        value = sorted(value.items())
     if isinstance(value, dict):
         yield b"{"
         for i, k in enumerate(sorted(value)):
@@ -388,16 +382,11 @@ def _json_document(report) -> Iterable[bytes]:
     if rtype not in _KINDS:
         raise TypeError(f"no JSON schema registered for {type(report).__name__}")
     if rtype == _SERIES:
-        doc = {"checkpoints": _to_obj(report)}
+        doc = {"checkpoints": report}
     elif rtype == _BOUNDS:
-        doc = {
-            "bounds": {
-                name: {k: v for k, v in _to_obj(e).items() if k != "name"}
-                for name, e in report.items()
-            }
-        }
+        doc = {"bounds": {name: {"bound": e.bound, "citation": e.citation} for name, e in report.items()}}
     else:
-        doc = _to_obj(report)
+        doc = _json_fields(report)
     doc["schema_version"] = SCHEMA_VERSION
     doc["report"] = _KINDS[rtype]
     return chain(_json_pieces(doc), [b"\n"])
@@ -408,7 +397,7 @@ def _json_document(report) -> Iterable[bytes]:
 
 
 def _from_obj(hint, value):
-    """Inverse of _to_obj for a value of type `hint`."""
+    """Inverse of _json_pieces, after json.loads, for a value of type `hint`."""
     if value is None:
         return None
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -493,31 +482,28 @@ def _field_table(cls, items):
 
 def _csv_document(report) -> Iterable[bytes]:
     """The CSV export of a report, in pieces: an array-backed table as its
-    header line and kernel chunks, any other table through csv.writer."""
+    header line and kernel chunks, any other table through csv.writer
+    (int and str cells stay as they are)."""
     if isinstance(report, GapBoundSummary):
         report = report.scan
     if isinstance(report, ScanReport):
         return chain([",".join(_HIT_COLUMNS).encode() + b"\n"], _hit_text(report, as_json=False))
     if isinstance(report, np.ndarray) and report.dtype.kind == "i":
         return chain([b"index,prime\n"], _prime_text(report))
-    header, rows = _csv_table(report)
+    rtype = _report_type(report)
+    if rtype is GapStats:
+        header, rows = ("gap", "count"), sorted(report.histogram.items())
+    elif rtype == _SERIES:
+        header, rows = _field_table(SeriesCheckpoint, report)
+    elif rtype == _BOUNDS:
+        header, rows = _field_table(GapBoundEntry, [report[name] for name in sorted(report)])
+    else:
+        raise TypeError(f"no CSV schema registered for {type(report).__name__}")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)
     return [buf.getvalue().encode()]
-
-
-def _csv_table(report):
-    """A report's CSV schema as (header, rows); int and str cells stay as they are."""
-    rtype = _report_type(report)
-    if rtype is GapStats:
-        return ("gap", "count"), sorted(report.histogram.items())
-    if rtype == _SERIES:
-        return _field_table(SeriesCheckpoint, report)
-    if rtype == _BOUNDS:
-        return _field_table(GapBoundEntry, [report[name] for name in sorted(report)])
-    raise TypeError(f"no CSV schema registered for {type(report).__name__}")
 
 
 def export_report(report, format: str) -> bytes:

@@ -142,7 +142,10 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
     n_odds = (limit - first) // 2 + 1
 
     width = min(DEFAULT_SEGMENT_SIZE, n_odds)
-    pattern = _wheel_pattern(_WHEEL_PERIOD + width)
+    # a segment reads the pattern from its odd index mod the period, and
+    # never past the unwrapped end w0 + n_odds of the whole range
+    w0 = (first - 1) // 2 % _WHEEL_PERIOD
+    pattern = _wheel_pattern(min(_WHEEL_PERIOD + width, w0 + n_odds))
     buf, spare = np.empty(width, dtype=bool), np.empty(width, dtype=bool)
 
     p = _kernel_primes(math.isqrt(limit))

@@ -305,14 +305,20 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     # a field the command has no flag for, refused as the flag would be
     (["gaps", "--limit", "100"], {"r": 2}),
     (["bounds"], {"limit": 5}),
+    # a file that is not JSON (a str is written as it is), and one that
+    # holds a JSON array instead of an object
+    (["bounds"], "{bad"),
+    (["bounds"], [1, 2]),
 ], ids=["output-int", "summary-str", "limit-float", "n_max-str", "checkpoints-int",
-        "checkpoints-bool-item", "threads-bool", "segment_size-small", "gaps-r", "bounds-limit"])
+        "checkpoints-bool-item", "threads-bool", "segment_size-small", "gaps-r", "bounds-limit",
+        "not-json", "json-array"])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, file_values):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(file_values))
+    config.write_text(file_values if isinstance(file_values, str) else json.dumps(file_values))
     code, out, err = invoke(argv + ["--config", str(config)], capsys)
     assert code == 2
     assert out == ""
+    assert err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == "UsageError"
 
 
@@ -384,8 +390,9 @@ def test_flags_beat_config_file_values(tmp_path, capsys, argv, file_values, key,
     (["bounds", "--bogus"], "unrecognized arguments: --bogus"),
     (["frob"], "invalid choice: 'frob'"),
     ([], "command must be one of"),
+    (["sieve", "--limit", "100", "--threads", "0"], "--threads must be >= 1, got 0"),
 ], ids=["parse-no-expr", "star-no-expr", "star-no-r", "format-xml", "limit-abc",
-        "checkpoints-x", "unknown-flag", "unknown-command", "no-command"])
+        "checkpoints-x", "unknown-flag", "unknown-command", "no-command", "threads-0"])
 def test_every_usage_error_is_one_json_object(capsys, argv, message):
     code, out, err = invoke(argv, capsys)
     assert (code, out) == (2, "")

@@ -87,6 +87,13 @@ def test_n_lo_beyond_the_limit_counts_no_prime_above_it(monkeypatch):
     assert args == []
 
 
+def test_a_window_without_a_prime_yields_no_blocks():
+    # Dusart's floor of p_10 = 29 is 15, and [15, 16] holds no prime: the
+    # window is sieved and yields no block
+    assert gaps._nth_prime_floor(10) == 15
+    assert list(iter_gap_blocks(16, 10)) == []
+
+
 def test_iter_gap_blocks_requires_a_pair():
     with pytest.raises(ValueError):
         next(iter_gap_blocks(2))

@@ -395,6 +395,9 @@ def test_candidate_check_validation():
         check_candidate(expr("1/n"), r=0.0)
     with pytest.raises(ValueError):
         check_candidate(expr("1/n"), r=2.0, n0=100, n_max=50)
+    # [1000, 1024] holds one dyadic point, 1024
+    with pytest.raises(ValueError, match="contains too few dyadic sample points"):
+        check_candidate(expr("1/n^2"), 1.0, n0=1000, n_max=1024)
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +627,12 @@ def test_unreachable_n_lo_fails_before_sieving(monkeypatch):
     for scan in (prime_ratio_scan, gap_bound_report):
         with pytest.raises(ValueError, match="too small to contain the prime pair at index"):
             scan(2.0, 0.0, 10**9, 10**9)
+
+
+def test_a_window_without_a_prime_holds_no_pair():
+    # the floor of p_10 = 29 is 15, and [15, 16] holds no prime
+    with pytest.raises(ValueError, match="too small to contain the prime pair at index 10"):
+        prime_ratio_scan(2, limit=16, n_lo=10)
 
 
 def test_scan_thresholds_bound_the_gaps():

@@ -129,8 +129,13 @@ def test_primes_csv():
 
 
 def test_unknown_type_and_format_are_rejected():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="no JSON schema registered for object"):
         export_report(object(), "json")
+    # a field value the walk has no JSON form for, and a non-string object key
+    with pytest.raises(TypeError, match="^cannot serialize set to JSON$"):
+        export_report(SieveSummary(limit={10}, prime_count=4, last_prime=7), "json")
+    with pytest.raises(TypeError, match="JSON object keys must be strings, got 0.5"):
+        export_report(SieveSummary(limit={0.5: 10}, prime_count=4, last_prime=7), "json")
     with pytest.raises(TypeError):
         export_report(check_candidate(parse_sequence("1/n"), 2.0, n_max=2**10), "csv")
     with pytest.raises(ValueError):
@@ -148,6 +153,14 @@ def test_parse_report_rejects_other_versions():
     data = data.replace(b'"schema_version":"1"', b'"schema_version":"9"')
     with pytest.raises(ValueError):
         parse_report(data)
+    # an unknown report kind, and an expression node with an unknown op
+    data = export_report(SieveSummary(10, 4, 7), "json").replace(b'"sieve_summary"', b'"frob"')
+    with pytest.raises(ValueError, match="unknown report kind 'frob'"):
+        parse_report(data)
+    data = export_report(ParsedExpression("ln(n)", parse_sequence("ln(n)")), "json")
+    assert b'"op":"ln"' in data
+    with pytest.raises(ValueError, match="unknown expression op 'sin'"):
+        parse_report(data.replace(b'"op":"ln"', b'"op":"sin"'))
 
 
 def test_parsed_scan_preserves_arrays():

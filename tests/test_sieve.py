@@ -140,6 +140,9 @@ def test_domain_and_capacity_errors():
     assert str(MAX_LIMIT) in str(exc.value)
     with pytest.raises(ValueError):
         nth_prime(0)
+    # the upper bound of p_(2*10^17) passes 2^62, so nothing is sieved
+    with pytest.raises(CapacityError, match="exceeds the supported maximum value"):
+        nth_prime(2 * 10**17)
 
 
 @settings(max_examples=25, deadline=None)
