@@ -224,13 +224,14 @@ class ComparisonResult:
 
 
 # The float lane's chunk, in terms. Each of its float64 temporaries is then
-# 128 KB: it stays in a 2 MB L2 cache and the allocator reuses it, where a
-# 2^20-term chunk's 8 MB arrays were paged in fresh. Summing and comparing
-# 1/(n*ln(n)^2) to n = 2^25 (summability_probe in-process, 2-core Xeon VM;
-# per size the median over three processes of each one's best of 3) took 1.97 / 1.58 / 2.55 / 2.02 s
-# at 2^13 / 2^14 / 2^15 / 2^16 terms and 2.70 s at 2^20, with at most 225
-# minor page faults at 2^13 and 2^14 against 0.29-0.30 M at 2^15 and 2^16
-# and 0.08-0.12 M at 2^20.
+# 128 KB: the three trees' values and their temporaries stay in a 2 MB L2
+# cache and the allocator reuses them, where larger chunks are paged in fresh.
+# Summing 1/(n*ln(n)^2) to n = 2^25 and comparing it with both references,
+# each tree evaluated once per chunk (summability_probe in-process, 2-core
+# Xeon VM; per size the median over five processes of each one's best of 3,
+# the sizes in rotated order) took 0.97 / 0.76 / 1.08 s at 2^13 / 2^14 / 2^15
+# terms; 2^14 was fastest in each of the five rounds. A probe took 0 minor
+# page faults at 2^13 and 160 at 2^14 against 0.26 M at 2^15.
 _CHUNK = 1 << 14
 
 
@@ -241,41 +242,48 @@ def _chunks(n_lo: int, n_hi: int) -> Iterator[tuple[int, int]]:
         lo += _CHUNK
 
 
-def ratio_comparison(
-    a: SequenceExpr, b: SequenceExpr, n_lo: int, n_hi: int
-) -> ComparisonResult:
+def ratio_comparison(va: np.ndarray, vb: np.ndarray, n_lo: int) -> ComparisonResult:
     """Compare term ratios of two positive sequences pointwise.
 
-    The comparison test of the second kind: if a's term ratio dominates
-    b's from some point on and b has a convergent sum, then a does too.
-    This is the finite-range report that feeds that argument.
+    va and vb hold the two sequences' values at n_lo, n_lo + 1, ...,
+    n_lo + len(va) - 1, and the comparison a(n)/a(n+1) >= b(n)/b(n+1)
+    runs on [n_lo, n_lo + len(va) - 2]: the last value of each array only
+    gives the last term ratio. The comparison test of the second kind: if
+    a's term ratio dominates b's from some point on and b has a convergent
+    sum, then a does too. This is the finite-range report that feeds that
+    argument; summability_probe calls it once per chunk and reference.
     """
     if n_lo < 2:
         raise ValueError(f"comparison range must start at n >= 2, got {n_lo}")
-    if n_hi < n_lo:
-        raise ValueError(f"empty comparison range [{n_lo}, {n_hi}]")
-    first = last = None
-    count = 0
-    for lo, hi in _chunks(n_lo, n_hi):
-        ns = np.arange(lo, hi + 2, dtype=np.int64)
-        va = eval_array(a, ns)
-        vb = eval_array(b, ns)
-        bad = ~(va[:-1] / va[1:] >= vb[:-1] / vb[1:])
-        # tallied by count, so a chunk violated at every n (as the divergent
-        # reference is) builds no index array; the reversed argmax, which
-        # copies the view, runs only when the chunk's last n is no violation
-        k = int(np.count_nonzero(bad))
-        if k:
-            if first is None:
-                first = int(np.argmax(bad)) + lo
-            last = hi if bad[-1] else hi - int(np.argmax(bad[::-1]))
-            count += k
+    if len(va) != len(vb):
+        raise ValueError(f"value arrays differ in length: {len(va)} and {len(vb)}")
+    if len(va) < 2:
+        raise ValueError(f"empty comparison range: {len(va)} values from n = {n_lo}")
+    n_hi = n_lo + len(va) - 2
+    bad = ~(va[:-1] / va[1:] >= vb[:-1] / vb[1:])
+    # tallied by count, so a range violated at every n (as a divergent
+    # reference's comparison often is) builds no index array; the reversed argmax, which
+    # copies the view, runs only when the last n is no violation
+    count = int(np.count_nonzero(bad))
+    if not count:
+        return ComparisonResult(n_lo, n_hi, None, None, 0)
+    first = int(np.argmax(bad)) + n_lo
+    last = n_hi if bad[-1] else n_hi - int(np.argmax(bad[::-1]))
+    return ComparisonResult(n_lo, n_hi, first, last, count)
+
+
+def _joined(before: ComparisonResult | None, after: ComparisonResult) -> ComparisonResult:
+    """One result for two consecutive ranges; before is None when after is the first."""
+    if before is None:
+        return after
     return ComparisonResult(
-        n_lo=n_lo,
-        n_hi=n_hi,
-        first_violation=first,
-        last_violation=last,
-        violation_count=count,
+        n_lo=before.n_lo,
+        n_hi=after.n_hi,
+        first_violation=(
+            before.first_violation if before.violation_count else after.first_violation
+        ),
+        last_violation=after.last_violation if after.violation_count else before.last_violation,
+        violation_count=before.violation_count + after.violation_count,
     )
 
 
@@ -328,6 +336,13 @@ def summability_probe(
     Requires n_max >= 1024 so the dyadic windows have something to say.
     Each partial sum is the exact sum of the float64 terms, correctly
     rounded; one beyond the float range raises OverflowError.
+
+    One pass over [2, n_max] in chunks: each chunk [lo, hi] evaluates the
+    candidate and both references once, on [lo, hi + 1]. The candidate's
+    values on [lo, hi] go to the exact sum, cut at the dyadic checkpoints,
+    and the three arrays give both reference comparisons, whose per-chunk
+    results are joined. The candidate is evaluated on n_max + 1 as well,
+    so a fault there is raised too.
     """
     if n_max < 1024:
         raise ValueError(f"n_max must be >= 1024, got {n_max}")
@@ -335,13 +350,25 @@ def summability_probe(
     checkpoints = _dyadic_range(2, n_max)
     if checkpoints[-1] != n_max:
         checkpoints.append(n_max)
-    blocks = (
-        (lo, eval_array(expr, np.arange(lo, hi + 1, dtype=np.int64)))
-        for lo, hi in _chunks(2, n_max)
-    )
+    conv_ref = parse_sequence(CONVERGENT_REFERENCE)
+    div_ref = parse_sequence(DIVERGENT_REFERENCE)
+    conv_cmp: ComparisonResult | None = None
+    div_cmp: ComparisonResult | None = None
+
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        nonlocal conv_cmp, div_cmp
+        # the candidate comes first, so a fault names the first offending n
+        # of [2, n_max + 1] whichever tree it is in: the references have none
+        for lo, hi in _chunks(2, n_max):
+            ns = np.arange(lo, hi + 2, dtype=np.int64)
+            values = eval_array(expr, ns)
+            conv_cmp = _joined(conv_cmp, ratio_comparison(values, eval_array(conv_ref, ns), lo))
+            div_cmp = _joined(div_cmp, ratio_comparison(eval_array(div_ref, ns), values, lo))
+            yield lo, values[:-1]
+
     acc = Fraction(0)
     sums: list[tuple[int, float]] = []
-    for _n0, (piece,), cut in _split_at(blocks, checkpoints):
+    for _n0, (piece,), cut in _split_at(blocks(), checkpoints):
         acc += exact_block_sum(piece)
         if cut is not None:
             sums.append((cut, rounded_partial_sum(acc, cut)))
@@ -359,10 +386,6 @@ def summability_probe(
     )
 
     tail_start = max(16, n_max // 8)
-    conv_ref = parse_sequence(CONVERGENT_REFERENCE)
-    div_ref = parse_sequence(DIVERGENT_REFERENCE)
-    conv_cmp = ratio_comparison(expr, conv_ref, 2, n_max)
-    div_cmp = ratio_comparison(div_ref, expr, 2, n_max)
     comparisons = {
         "convergent_reference": _comparison_summary(conv_cmp, CONVERGENT_REFERENCE, tail_start),
         "divergent_reference": _comparison_summary(div_cmp, DIVERGENT_REFERENCE, tail_start),

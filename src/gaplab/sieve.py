@@ -155,6 +155,7 @@ def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
     # (an even multiple steps on by p)
     m = np.maximum(p2, (first + p - 1) // p * p)
     off = (np.where(m % 2, m, m + p) - first) // 2
+    del m  # one int64 per base prime, read by nothing past this line
 
     span = 2 * DEFAULT_SEGMENT_SIZE
     for low in range(first, limit + 1, span):

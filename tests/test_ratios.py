@@ -130,27 +130,38 @@ def test_extrapolation_table_carries_differences():
 # second-kind ratio comparison
 
 
+def values(text: str, n_lo: int, n_hi: int) -> np.ndarray:
+    """The sequence's float64 values on [n_lo, n_hi + 1]: a comparison's input on [n_lo, n_hi]."""
+    return eval_array(expr(text), np.arange(n_lo, n_hi + 2, dtype=np.int64))
+
+
 def test_comparison_equal_sequences_hold_trivially():
-    res = ratio_comparison(expr("1/n"), expr("1/n"), 2, 500)
+    v = values("1/n", 2, 500)
+    res = ratio_comparison(v, v, 2)
+    assert (res.n_lo, res.n_hi) == (2, 500)
     assert res.violation_count == 0
 
 
 def test_comparison_inverse_square_dominates_harmonic():
-    res = ratio_comparison(expr("1/(n^2)"), expr("1/n"), 2, 10**4)
+    res = ratio_comparison(values("1/(n^2)", 2, 10**4), values("1/n", 2, 10**4), 2)
     assert res.violation_count == 0
 
 
 def test_comparison_first_violation_is_reported():
-    res = ratio_comparison(expr("1/n"), expr("1/(n^2)"), 2, 100)
-    assert res.violation_count
-    assert res.first_violation == 2
+    res = ratio_comparison(values("1/n", 2, 100), values("1/(n^2)", 2, 100), 2)
+    assert res.violation_count == 99
+    assert (res.first_violation, res.last_violation) == (2, 100)
 
 
 def test_comparison_range_validation():
-    with pytest.raises(ValueError):
-        ratio_comparison(expr("1/n"), expr("1/n"), 1, 10)
+    v = values("1/n", 1, 10)
+    with pytest.raises(ValueError, match="n >= 2"):
+        ratio_comparison(v, v, 1)
     with pytest.raises(ValueError, match="empty"):
-        ratio_comparison(expr("1/n"), expr("1/n"), 10, 9)
+        ratio_comparison(v[:1], v[:1], 10)
+    # a ratio array of length 1 would broadcast against the other's
+    with pytest.raises(ValueError, match="differ in length"):
+        ratio_comparison(v[:2], v, 2)
 
 
 @pytest.mark.parametrize(
@@ -164,62 +175,127 @@ def test_comparison_range_validation():
 )
 @pytest.mark.parametrize("n_lo,n_hi", [(2, 40), (3, 16), (6, 13), (7, 8), (9, 9)])
 def test_comparison_violations_are_chunk_invariant(monkeypatch, a_text, b_text, n_lo, n_hi):
-    a, b = expr(a_text), expr(b_text)
-    ns = np.arange(n_lo, n_hi + 2, dtype=np.int64)
-    va, vb = eval_array(a, ns), eval_array(b, ns)
+    # the probe's cut: one comparison per 7-term chunk, each on its own
+    # values at [lo, hi + 1], joined into one result
+    va, vb = values(a_text, n_lo, n_hi), values(b_text, n_lo, n_hi)
     direct = np.flatnonzero(~(va[:-1] / va[1:] >= vb[:-1] / vb[1:])) + n_lo
     monkeypatch.setattr(ratios, "_CHUNK", 7)
-    res = ratio_comparison(a, b, n_lo, n_hi)
-    assert res.violation_count == len(direct)
-    assert res.first_violation == (int(direct[0]) if len(direct) else None)
-    assert res.last_violation == (int(direct[-1]) if len(direct) else None)
+    joined = None
+    for lo, hi in ratios._chunks(n_lo, n_hi):
+        part = ratio_comparison(va[lo - n_lo : hi - n_lo + 2], vb[lo - n_lo : hi - n_lo + 2], lo)
+        joined = ratios._joined(joined, part)
+    for res in (ratio_comparison(va, vb, n_lo), joined):
+        assert (res.n_lo, res.n_hi) == (n_lo, n_hi)
+        assert res.violation_count == len(direct)
+        assert res.first_violation == (int(direct[0]) if len(direct) else None)
+        assert res.last_violation == (int(direct[-1]) if len(direct) else None)
 
 
 def _terms_violated_at(violations, n_max):
     """t(n) for 0 <= n <= n_max + 1, with t(n)/t(n+1) = 1/2 at the given n
-    and 2 elsewhere, so a comparison against a constant fails exactly there."""
+    and 2 elsewhere, so a comparison against a constant fails exactly there.
+    The largest term is 1, so up to n_max = 1073 every term is a positive double."""
     steps = np.where(np.isin(np.arange(n_max + 1), list(violations)), 1.0, -1.0)
-    return 2.0 ** np.concatenate([[0.0], np.cumsum(steps)])
+    exponents = np.concatenate([[0.0], np.cumsum(steps)])
+    return 2.0 ** (exponents - exponents.max())
 
 
-# with _CHUNK = 7 from n = 2 the chunks start at 2, 9, 16, 23, 30, 37
 @pytest.mark.parametrize("n_hi", [29, 30, 31])
+@pytest.mark.parametrize(
+    "violations",
+    [
+        set(),
+        {9},
+        {15},
+        {2, 8, 9, 22, 23},
+        {16, 22},
+        {8, 15},
+        {15, 19},
+        {29, 30, 31},  # n_hi, the last term ratio, needs t(n_hi + 1)
+        set(range(2, 32)),  # every n
+    ],
+)
+def test_comparison_tally_matches_flatnonzero(violations, n_hi):
+    terms = _terms_violated_at(violations, n_hi)
+    ns = np.arange(2, n_hi + 2)
+    direct = np.flatnonzero(~(terms[ns][:-1] / terms[ns][1:] >= 1.0)) + 2
+    assert set(direct.tolist()) == {n for n in violations if n <= n_hi}
+    res = ratio_comparison(terms[ns], np.ones(len(ns)), 2)
+    assert res.first_violation == (int(direct[0]) if len(direct) else None)
+    assert res.last_violation == (int(direct[-1]) if len(direct) else None)
+    assert res.violation_count == len(direct)
+
+
+# with _CHUNK = 7 from n = 2 the chunks start at 2 + 7k: 9, 16, ..., 506,
+# 513, ..., 1024, 1031. So 2^9 = 512 ends a chunk and 2^9 + 1 starts the
+# next, 2^10 = 1024 starts a chunk, n_max = 1024 or 1031 leaves a one-term
+# last chunk, and n_max = 1030 a full one
+@pytest.mark.parametrize("n_max", [1024, 1030, 1031])
 @pytest.mark.parametrize(
     "violations",
     [
         set(),
         {9},  # a chunk's first index
         {15},  # a chunk's last index
-        {2, 8, 9, 22, 23},
         {16, 22},  # the first and last index of one chunk
-        {8, 15},  # the last index of two chunks, neither of them the final one
-        {15, 19},  # a last index, then a later chunk's middle
-        {29, 30, 31},  # n_hi, wherever it ends its chunk
-        set(range(2, 32)),  # every n
+        {8, 15, 19},  # the last index of two chunks, then a later chunk's middle
+        {256, 257},  # 2^8 and 2^8 + 1, inside one chunk
+        {512},  # 2^9, a chunk's last index
+        {513},  # 2^9 + 1, the next chunk's first index
+        {1024, 1025, 1030, 1031},  # 2^10, 2^10 + 1, and each n_max
+        set(range(2, 1032)),  # every n
     ],
 )
-def test_comparison_tally_matches_flatnonzero(monkeypatch, violations, n_hi):
-    terms = _terms_violated_at(violations, n_hi)
+def test_probe_comparisons_match_flatnonzero_at_chunk_edges(monkeypatch, violations, n_max):
+    # the candidate's term ratio is 1/2 at the given n and 2 elsewhere; both
+    # references are constant, so the convergent comparison fails exactly at
+    # the given n and the divergent one everywhere else
+    terms = _terms_violated_at(violations, n_max)
     monkeypatch.setattr(
         ratios, "eval_array", lambda e, ns: terms[ns] if e == "a" else np.ones(len(ns))
     )
     monkeypatch.setattr(ratios, "_CHUNK", 7)
-    ns = np.arange(2, n_hi + 2)
-    direct = np.flatnonzero(~(terms[ns][:-1] / terms[ns][1:] >= 1.0)) + 2
-    assert set(direct.tolist()) == {n for n in violations if n <= n_hi}
-    res = ratio_comparison("a", "b", 2, n_hi)
-    assert res.first_violation == (int(direct[0]) if len(direct) else None)
-    assert res.last_violation == (int(direct[-1]) if len(direct) else None)
-    assert res.violation_count == len(direct)
+    ns = np.arange(2, n_max + 2)
+    ratio_below_one = terms[ns][:-1] / terms[ns][1:] < 1.0
+    comparisons = summability_probe("a", n_max).reference_comparisons
+    for key, bad in (
+        ("convergent_reference", ratio_below_one),
+        ("divergent_reference", ~ratio_below_one),
+    ):
+        direct = np.flatnonzero(bad) + 2
+        got = comparisons[key]
+        assert got["first_violation"] == (int(direct[0]) if len(direct) else None), key
+        assert got["last_violation"] == (int(direct[-1]) if len(direct) else None), key
+        assert got["violation_count"] == len(direct), key
+    assert comparisons["convergent_reference"]["violation_count"] == len(
+        {n for n in violations if n <= n_max}
+    )
+
+
+@pytest.mark.parametrize(
+    "text,chunk,n",
+    [
+        ("1/(n-1025)^2", None, 1025),  # n_max + 1: only a term ratio reads it
+        ("1/(n-9)^2", 7, 9),  # a chunk's first index
+        ("1/(n-15)^2", 7, 15),  # a chunk's last index, also read by the next chunk
+    ],
+)
+def test_probe_names_the_first_fault(monkeypatch, text, chunk, n):
+    if chunk is not None:
+        monkeypatch.setattr(ratios, "_CHUNK", chunk)
+    with pytest.raises(EvalError, match=f"^division by zero in .* at n={n}$") as err:
+        summability_probe(expr(text), 1024)
+    assert type(err.value) is EvalError  # not PositivityError: every term is positive
+    assert err.value.n == n
 
 
 def test_comparison_consequence_transfers_geometric_decay():
     # if a's ratio dominates b's on the range and b's dyadic increments
     # shrink geometrically, a's must as well
-    a, b = expr("1/(n^3)"), expr("1/(n^2)")
-    assert ratio_comparison(a, b, 2, 2**13).violation_count == 0
-    pa = summability_probe(a, 2**13)
-    pb = summability_probe(b, 2**13)
+    a, b = "1/(n^3)", "1/(n^2)"
+    assert ratio_comparison(values(a, 2, 2**13), values(b, 2, 2**13), 2).violation_count == 0
+    pa = summability_probe(expr(a), 2**13)
+    pb = summability_probe(expr(b), 2**13)
     assert pb.geometric_decay
     assert pa.geometric_decay
 
@@ -274,20 +350,17 @@ def test_probe_partial_sums_do_not_depend_on_the_chunk(monkeypatch, text):
 
 
 def test_probe_and_comparison_memory_is_bounded_by_the_chunk():
-    # every float64 temporary is one chunk long, whatever n_max is; a
-    # 2^20-term array alone would be 8 MB
+    # every float64 temporary of the sum and of both reference comparisons
+    # is one chunk long, whatever n_max is; a 2^20-term array alone would be
+    # 8 MB
     tree = expr(ratios.CONVERGENT_REFERENCE)
-    for run in (
-        lambda: summability_probe(tree, 2**20),
-        lambda: ratio_comparison(tree, expr(ratios.DIVERGENT_REFERENCE), 2, 2**20),
-    ):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+    tracemalloc.start()
+    try:
+        summability_probe(tree, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_probe_partial_sum_beyond_the_float_range_raises():
