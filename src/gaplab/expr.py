@@ -27,12 +27,20 @@ fine at n = 4, where (-1)^2 is an integer power, and fails at n = 3 in
 either lane. The mpmath power saturates to inf or 0 past a
 log-magnitude of 2^64, so a power tower fails "not finite" in both lanes
 instead of running for ever.
+
+Trees evaluated together on the same indices can share their repeated
+subterms: eval_array's keyword shared takes a table that holds each
+subtree occurring more than once among them, and the walk evaluates such
+a subtree once per index array, n's float conversion included. Subtrees
+are shared only where format_sequence prints them alike, since a fault
+names its subtree as printed. A value the table holds is returned
+read-only, because every tree that contains it receives that one array.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any, Callable, Union
 
@@ -424,30 +432,36 @@ def _check(bad, fault: str, node: SequenceExpr, ns) -> None:
         )
 
 
-def _eval(node: SequenceExpr, x, ns, lane: _Lane):
+def _eval(node: SequenceExpr, x, ns, lane: _Lane, shared: dict | None = None):
+    # a subtree the table holds is evaluated once per index array: its entry
+    # is [node, ns, value], and a value computed on another ns is replaced
+    entry = shared.get(id(node)) if shared is not None else None
+    if entry is not None and entry[1] is ns:
+        return entry[2]
     if isinstance(node, Number):
-        return lane.const(node.value)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Ln):
-        v = _eval(node.arg, x, ns, lane)
+        value = lane.const(node.value)
+    elif isinstance(node, Var):
+        # a float walk with a table converts n here, where the table can hold it
+        value = ns.astype(np.float64) if x is None else x
+    elif isinstance(node, Ln):
+        v = _eval(node.arg, x, ns, lane, shared)
         _check(v <= 0, "ln of nonpositive argument", node, ns)
-        return lane.ln(v)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, x, ns, lane)
-    if isinstance(node, Add):
-        return _eval(node.left, x, ns, lane) + _eval(node.right, x, ns, lane)
-    if isinstance(node, Sub):
-        return _eval(node.left, x, ns, lane) - _eval(node.right, x, ns, lane)
-    if isinstance(node, Mul):
-        return _eval(node.left, x, ns, lane) * _eval(node.right, x, ns, lane)
-    if isinstance(node, Div):
-        den = _eval(node.right, x, ns, lane)
+        value = lane.ln(v)
+    elif isinstance(node, Neg):
+        value = -_eval(node.arg, x, ns, lane, shared)
+    elif isinstance(node, Add):
+        value = _eval(node.left, x, ns, lane, shared) + _eval(node.right, x, ns, lane, shared)
+    elif isinstance(node, Sub):
+        value = _eval(node.left, x, ns, lane, shared) - _eval(node.right, x, ns, lane, shared)
+    elif isinstance(node, Mul):
+        value = _eval(node.left, x, ns, lane, shared) * _eval(node.right, x, ns, lane, shared)
+    elif isinstance(node, Div):
+        den = _eval(node.right, x, ns, lane, shared)
         _check(den == 0, "division by zero", node, ns)
-        return _eval(node.left, x, ns, lane) / den
-    if isinstance(node, Pow):
-        base = _eval(node.base, x, ns, lane)
-        expo = _eval(node.exponent, x, ns, lane)
+        value = _eval(node.left, x, ns, lane, shared) / den
+    elif isinstance(node, Pow):
+        base = _eval(node.base, x, ns, lane, shared)
+        expo = _eval(node.exponent, x, ns, lane, shared)
         fractional = expo != lane.floor(expo)
         negative = expo < 0
         if np.ndim(expo) == 0:
@@ -463,8 +477,45 @@ def _eval(node: SequenceExpr, x, ns, lane: _Lane):
                 _check((base < 0) & fractional, "fractional power of a negative base", node, ns)
             if negative.any():
                 _check((base == 0) & negative, "zero raised to a negative power", node, ns)
-        return lane.power(base, expo)
-    raise TypeError(f"not a sequence expression node: {node!r}")
+        value = lane.power(base, expo)
+    else:
+        raise TypeError(f"not a sequence expression node: {node!r}")
+    if entry is not None:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        entry[1:] = ns, value
+    return value
+
+
+def _shared_subterms(*trees: SequenceExpr) -> tuple[list[SequenceExpr], dict]:
+    """Intern trees by printed text and table the subtrees that repeat.
+
+    Returns the interned trees and the table that eval_array's shared
+    keyword takes. Two subtrees are one node only when format_sequence
+    prints them alike, so a fault names the same text either way: Number
+    equality ignores the lexeme, and ln(n-2.0) is not ln(n-2). The table
+    holds only the nodes that occur more than once among the trees, keyed
+    by identity (a frozen dataclass's hash walks its whole subtree). A
+    repeated subtree's own subtrees are counted once, where it first occurs.
+    """
+    canon: dict[str, SequenceExpr] = {}
+    uses: dict[str, int] = {}
+
+    def intern(node: SequenceExpr) -> SequenceExpr:
+        text = format_sequence(node)
+        uses[text] = uses.get(text, 0) + 1
+        if text not in canon:
+            children = {
+                f.name: intern(child)
+                for f in fields(node)
+                if isinstance(child := getattr(node, f.name), SequenceExpr)
+            }
+            canon[text] = replace(node, **children) if children else node
+        return canon[text]
+
+    interned = [intern(tree) for tree in trees]
+    table = {id(canon[t]): [canon[t], None, None] for t, k in uses.items() if k > 1}
+    return interned, table
 
 
 def eval_sequence_mp(expr: SequenceExpr, n: int):
@@ -498,9 +549,9 @@ def eval_sequence_mp(expr: SequenceExpr, n: int):
         return val
 
 
-def _eval_float(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
+def _eval_float(expr: SequenceExpr, ns: np.ndarray, shared: dict | None = None) -> np.ndarray:
     """The float64 walk over a nonempty ns, then the output's own two tests."""
-    out = _eval(expr, ns.astype(np.float64), ns, _NP)
+    out = _eval(expr, None if shared is not None else ns.astype(np.float64), ns, _NP, shared)
     if np.ndim(out) == 0:
         out = np.full(ns.shape, out, dtype=np.float64)
     # nan fails both tests; the masks are built only to name the index
@@ -519,7 +570,7 @@ def _eval_float(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
     raise PositivityError(f"not a positive sequence at n={n}: '{text}'{hint}", node=text, n=n)
 
 
-def eval_array(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
+def eval_array(expr: SequenceExpr, ns: np.ndarray, *, shared: dict | None = None) -> np.ndarray:
     """Evaluate at every index in ns through the float64 lane.
 
     Runs the same walk and fault checks as eval_sequence_mp, elementwise.
@@ -529,6 +580,17 @@ def eval_array(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
     across all of these checks, so the report does not depend on how a
     caller cuts its indices into arrays. At one position the walk's faults
     come first, in walk order, then "not finite", then positivity.
+
+    shared is a table of repeated subtrees, built once for a set of trees
+    by _shared_subterms, whose interned trees are the ones to pass here.
+    Calls that pass the same table and the same ns object evaluate each
+    subtree the table holds once, so ns must not change in place between
+    them. A held value passed every check when it was computed, and
+    subtrees are shared only where they print alike, so values and faults
+    are bit for bit those of a call without the table. An array the table
+    holds is returned read-only, the tree's own value included when the
+    whole tree repeats. The retry that names the first offending n runs
+    without the table.
     """
     ns = np.asarray(ns)
     if ns.size == 0:
@@ -536,7 +598,7 @@ def eval_array(expr: SequenceExpr, ns: np.ndarray) -> np.ndarray:
     if int(ns.min()) < 1:
         raise ValueError(f"sequence indices must be >= 1, got {int(ns.min())}")
     try:
-        return _eval_float(expr, ns)
+        return _eval_float(expr, ns, shared)
     except EvalError as err:
         fault = err
     # the walk stops at the first check that fails anywhere, so another check

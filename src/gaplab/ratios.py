@@ -36,6 +36,7 @@ import numpy as np
 from .accum import exact_block_sum, rounded_partial_sum
 from .expr import (
     SequenceExpr,
+    _shared_subterms,
     eval_array,
     eval_sequence_mp,
     format_sequence,
@@ -227,11 +228,12 @@ class ComparisonResult:
 # 128 KB: the three trees' values and their temporaries stay in a 2 MB L2
 # cache and the allocator reuses them, where larger chunks are paged in fresh.
 # Summing 1/(n*ln(n)^2) to n = 2^25 and comparing it with both references,
-# each tree evaluated once per chunk (summability_probe in-process, 2-core
-# Xeon VM; per size the median over five processes of each one's best of 3,
-# the sizes in rotated order) took 0.97 / 0.76 / 1.08 s at 2^13 / 2^14 / 2^15
-# terms; 2^14 was fastest in each of the five rounds. A probe took 0 minor
-# page faults at 2^13 and 160 at 2^14 against 0.26 M at 2^15.
+# each repeated subterm of the three trees evaluated once per chunk
+# (summability_probe in-process, 2-core Xeon VM; per size the median over
+# seven processes of each one's best of 3, the sizes in rotated order) took
+# 0.82 / 0.62 / 0.63 s at 2^13 / 2^14 / 2^15 terms; 2^14 beat 2^15 in four
+# of the seven rounds and 2^13 in all seven. A probe took about 0 minor page
+# faults at 2^13 and 290 at 2^14 against 33 K at 2^15.
 _CHUNK = 1 << 14
 
 
@@ -350,8 +352,9 @@ def summability_probe(
     checkpoints = _dyadic_range(2, n_max)
     if checkpoints[-1] != n_max:
         checkpoints.append(n_max)
-    conv_ref = parse_sequence(CONVERGENT_REFERENCE)
-    div_ref = parse_sequence(DIVERGENT_REFERENCE)
+    (expr, conv_ref, div_ref), shared = _shared_subterms(
+        expr, parse_sequence(CONVERGENT_REFERENCE), parse_sequence(DIVERGENT_REFERENCE)
+    )
     conv_cmp: ComparisonResult | None = None
     div_cmp: ComparisonResult | None = None
 
@@ -361,9 +364,11 @@ def summability_probe(
         # of [2, n_max + 1] whichever tree it is in: the references have none
         for lo, hi in _chunks(2, n_max):
             ns = np.arange(lo, hi + 2, dtype=np.int64)
-            values = eval_array(expr, ns)
-            conv_cmp = _joined(conv_cmp, ratio_comparison(values, eval_array(conv_ref, ns), lo))
-            div_cmp = _joined(div_cmp, ratio_comparison(eval_array(div_ref, ns), values, lo))
+            values = eval_array(expr, ns, shared=shared)
+            conv_values = eval_array(conv_ref, ns, shared=shared)
+            conv_cmp = _joined(conv_cmp, ratio_comparison(values, conv_values, lo))
+            div_values = eval_array(div_ref, ns, shared=shared)
+            div_cmp = _joined(div_cmp, ratio_comparison(div_values, values, lo))
             yield lo, values[:-1]
 
     acc = Fraction(0)

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -24,11 +25,13 @@ from gaplab.expr import (
     Pow,
     Sub,
     Var,
+    _shared_subterms,
     eval_array,
     eval_sequence_mp,
     format_sequence,
     parse_sequence,
 )
+from gaplab.ratios import CONVERGENT_REFERENCE, DIVERGENT_REFERENCE
 
 
 def num(x) -> Number:
@@ -447,6 +450,98 @@ def test_powers_below_the_magnitude_cap_are_unchanged():
 
 def test_array_lane_empty_input():
     assert eval_array(parse_sequence("n"), np.zeros(0, dtype=np.int64)).size == 0
+
+
+# ---------------------------------------------------------------------------
+# shared subterms: the same bits and the same faults as separate walks
+
+# one index, a few from n = 1, and one more than a probe chunk; one table
+# serves all three in turn, as one serves every chunk of a probe
+_SHARED_NS = (np.array([2]), np.arange(1, 8), np.arange(2, 2**14 + 3))
+_REFERENCES = (parse_sequence(CONVERGENT_REFERENCE), parse_sequence(DIVERGENT_REFERENCE))
+
+
+def _outcome(tree, ns, shared=None):
+    try:
+        values = eval_array(tree, ns, shared=shared)
+    except EvalError as err:
+        return type(err), str(err), err.n, err.node
+    return values.view(np.int64)
+
+
+def _assert_sharing_changes_nothing(candidate):
+    trees = (candidate, *_REFERENCES)
+    interned, shared = _shared_subterms(*trees)
+    assert [format_sequence(t) for t in interned] == [format_sequence(t) for t in trees]
+    for ns in _SHARED_NS:
+        for tree, same_tree in zip(trees, interned):
+            want, got = _outcome(tree, ns), _outcome(same_tree, ns, shared)
+            if isinstance(want, tuple):
+                assert got == want, format_sequence(tree)
+            else:
+                assert np.array_equal(got, want), format_sequence(tree)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/(n*ln(n)^2)",  # the convergent reference itself
+        "1/n^1.5",  # shares only n and ln(n) with the references
+        "1/(n*ln(n)^3)",
+        "ln(n)*ln(n)/n^3",  # a subterm repeated inside one tree
+        "ln(n-2.0)/ln(n-2)",  # equal trees that print apart: neither names the other
+        "1/(n-4)^2 + ln(n)",  # a fault at n = 4 in the longest array only
+    ],
+)
+def test_shared_subterms_match_separate_walks(text):
+    _assert_sharing_changes_nothing(parse_sequence(text))
+
+
+_LEXEMES = ("1", "2", "2.0", "3", "0.5", "1.5")
+
+
+def _random_tree(rng, pool, depth):
+    """A tree of depth <= depth, never a leaf at depth 4; about one leaf in
+    four is a node of pool, so subtrees repeat within and across trees."""
+    if depth == 0 or (depth < 4 and rng.random() < 0.3):
+        pick = rng.random()
+        if pick < 0.25:
+            return rng.choice(pool)
+        if pick < 0.6:
+            return Var()
+        lexeme = rng.choice(_LEXEMES)
+        return Number(Fraction(lexeme), lexeme=lexeme)
+    kind = rng.choice((Ln, Neg, Add, Sub, Mul, Div, Pow))
+    if kind in (Ln, Neg):
+        node = kind(_random_tree(rng, pool, depth - 1))
+    else:
+        node = kind(_random_tree(rng, pool, depth - 1), _random_tree(rng, pool, depth - 1))
+    pool.append(node)
+    return node
+
+
+def test_shared_subterms_match_separate_walks_on_random_trees():
+    rng = random.Random(31)
+    pool = [parse_sequence(t) for t in ("ln(n)", "n*ln(n)", "ln(n)^2", "n - 2", "n - 2.0")]
+    faults = 0
+    # float64 overflow and nan are the lane's own faults here, not warnings
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            candidate = _random_tree(rng, pool, 4)
+            _assert_sharing_changes_nothing(candidate)
+            faults += isinstance(_outcome(candidate, _SHARED_NS[2]), tuple)
+    # both outcomes are common enough to be compared
+    assert 20 < faults < 180, faults
+
+
+def test_shared_values_are_read_only():
+    candidate = parse_sequence("1/(n*ln(n)^2)")
+    (candidate, conv, div), shared = _shared_subterms(candidate, *_REFERENCES)
+    ns = np.arange(2, 100)
+    values = eval_array(candidate, ns, shared=shared)
+    assert eval_array(conv, ns, shared=shared) is values  # the whole tree repeats
+    assert not values.flags.writeable
+    assert eval_array(div, ns, shared=shared).flags.writeable  # its root is its own
 
 
 # ---------------------------------------------------------------------------

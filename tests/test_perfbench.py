@@ -3,9 +3,16 @@
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import gaplab
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -31,3 +38,26 @@ def test_traced_boundary_resolves(module_name, attr, is_generator):
     assert callable(fn), f"{module_name}.{attr} is gone"
     # a generator wrapped as a call would time its creation, not its items
     assert inspect.isgeneratorfunction(fn) == is_generator
+
+
+def test_traced_star_keeps_its_spans(tmp_path):
+    # the traced star-2e25 run needs these spans and counts the terms they
+    # see; n_max = 2 + 2^14 makes two probe chunks, the second of one term,
+    # so three evaluations and two comparisons per chunk show as 6 and 4
+    package_root = str(Path(gaplab.__file__).resolve().parent.parent)
+    child_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    spans_file = tmp_path / "spans.json"
+    command = ["star", "--expr", "1/(n*ln(n)^2)", "--r", "1", "--n-max", "16386"]
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), str(spans_file), *command, "--out", str(tmp_path / "star.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": child_path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(spans_file.read_text(encoding="utf-8"))
+    calls = Counter(name for name, *_ in traced["spans"])
+    assert (calls["expr.eval"], calls["ratios.compare"], calls["accum.sum"]) == (6, 4, 16)
+    counts = traced["counts"]
+    assert (counts["expr.terms"], counts["accum.terms"]) == (49_161, 16_385)

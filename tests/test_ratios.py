@@ -251,13 +251,16 @@ def test_probe_comparisons_match_flatnonzero_at_chunk_edges(monkeypatch, violati
     # references are constant, so the convergent comparison fails exactly at
     # the given n and the divergent one everywhere else
     terms = _terms_violated_at(violations, n_max)
+    candidate = expr("n")  # unlike both references, whose values are faked as ones
     monkeypatch.setattr(
-        ratios, "eval_array", lambda e, ns: terms[ns] if e == "a" else np.ones(len(ns))
+        ratios,
+        "eval_array",
+        lambda e, ns, *, shared: terms[ns] if e == candidate else np.ones(len(ns)),
     )
     monkeypatch.setattr(ratios, "_CHUNK", 7)
     ns = np.arange(2, n_max + 2)
     ratio_below_one = terms[ns][:-1] / terms[ns][1:] < 1.0
-    comparisons = summability_probe("a", n_max).reference_comparisons
+    comparisons = summability_probe(candidate, n_max).reference_comparisons
     for key, bad in (
         ("convergent_reference", ratio_below_one),
         ("divergent_reference", ~ratio_below_one),
@@ -287,6 +290,16 @@ def test_probe_names_the_first_fault(monkeypatch, text, chunk, n):
         summability_probe(expr(text), 1024)
     assert type(err.value) is EvalError  # not PositivityError: every term is positive
     assert err.value.n == n
+
+
+def test_probe_fault_names_the_subterm_as_written():
+    # ln(n-2.0) and ln(n-2) are equal trees that print apart; the probe
+    # shares neither with the other, so the fault names the one that fails
+    # first in the walk, the divisor
+    with pytest.raises(EvalError) as err:
+        summability_probe(expr("ln(n-2.0)/ln(n-2)"), 1024)
+    assert str(err.value) == "ln of nonpositive argument in 'ln(n - 2)' at n=2"
+    assert (err.value.n, err.value.node) == (2, "ln(n - 2)")
 
 
 def test_comparison_consequence_transfers_geometric_decay():
