@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import types
 from contextlib import nullcontext
@@ -278,9 +279,46 @@ def _emit_error(exc: BaseException) -> None:
     sys.stderr.write(json.dumps({"error": payload}, sort_keys=True) + "\n")
 
 
-def main(argv: list[str] | None = None) -> int:
+# one or two dashes and a name: the shape of every flag, such as --out or -h
+_FLAG_SHAPED = re.compile(r"--?[A-Za-z][\w-]*(=.*)?", re.DOTALL)
+
+
+def _is_flag(arg: str) -> bool:
+    """Whether an argument after --expr is a flag rather than a formula.
+
+    A formula names only n and ln, so no flag of this CLI parses as one,
+    while -n, --n and -(n-2) are formulas.
+    """
+    if not _FLAG_SHAPED.fullmatch(arg):
+        return False
     try:
-        config = config_from_args(build_parser().parse_args(argv))
+        parse_sequence(arg)
+    except ExprSyntaxError:
+        return True
+    return False
+
+
+def _expr_values_attached(argv: list[str]) -> list[str]:
+    """argv with each --expr written as --expr=VALUE when VALUE starts with '-'.
+
+    argparse reads an argument that starts with '-' as a flag, so --expr -n
+    would leave --expr without its value. A flag after --expr is left
+    alone, so --expr --out x.json is still a usage error.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--expr" and arg.startswith("-") and not _is_flag(arg):
+            out[-1] = f"--expr={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        config = config_from_args(build_parser().parse_args(_expr_values_attached(argv)))
         return run(config)
     except (UsageError, ExprSyntaxError) as exc:
         # ahead of ValueError, which both subclass

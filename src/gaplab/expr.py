@@ -336,12 +336,9 @@ def _fmt(node: SequenceExpr, min_prec: int) -> str:
     if isinstance(node, Ln):
         return f"ln({_fmt(node.arg, _PREC_ADD)})"
     if isinstance(node, Neg):
-        # grammar: "-" atom; parenthesize anything that is not atom-shaped
-        inner = _fmt(node.arg, _PREC_ATOM)
-        if not isinstance(node.arg, (Number, Var, Ln, Neg)):
-            inner = f"({inner})"
-        text = "-" + inner
-        return text if _PREC_ATOM >= min_prec else f"({text})"
+        # grammar: "-" atom; printing the argument at atom precedence already
+        # parenthesizes anything that is not atom-shaped
+        return "-" + _fmt(node.arg, _PREC_ATOM)
     if isinstance(node, (Add, Sub)):
         op = "+" if isinstance(node, Add) else "-"
         text = f"{_fmt(node.left, _PREC_ADD)} {op} {_fmt(node.right, _PREC_ADD + 1)}"
@@ -441,11 +438,14 @@ def _eval(node: SequenceExpr, x, ns, lane: _Lane, shared: dict | None = None):
     if isinstance(node, Number):
         value = lane.const(node.value)
     elif isinstance(node, Var):
-        # a float walk with a table converts n here, where the table can hold it
-        value = ns.astype(np.float64) if x is None else x
+        # a float walk with a table reads n here, where the table can hold it;
+        # float64 indices are read as they are
+        value = np.asarray(ns, np.float64) if x is None else x
     elif isinstance(node, Ln):
         v = _eval(node.arg, x, ns, lane, shared)
-        _check(v <= 0, "ln of nonpositive argument", node, ns)
+        # an array is tested in one pass; its mask is built only to name the n
+        if not isinstance(v, np.ndarray) or not v.min() > 0:
+            _check(v <= 0, "ln of nonpositive argument", node, ns)
         value = lane.ln(v)
     elif isinstance(node, Neg):
         value = -_eval(node.arg, x, ns, lane, shared)
@@ -457,7 +457,8 @@ def _eval(node: SequenceExpr, x, ns, lane: _Lane, shared: dict | None = None):
         value = _eval(node.left, x, ns, lane, shared) * _eval(node.right, x, ns, lane, shared)
     elif isinstance(node, Div):
         den = _eval(node.right, x, ns, lane, shared)
-        _check(den == 0, "division by zero", node, ns)
+        if not isinstance(den, np.ndarray) or not den.all():
+            _check(den == 0, "division by zero", node, ns)
         value = _eval(node.left, x, ns, lane, shared) / den
     elif isinstance(node, Pow):
         base = _eval(node.base, x, ns, lane, shared)
@@ -482,6 +483,8 @@ def _eval(node: SequenceExpr, x, ns, lane: _Lane, shared: dict | None = None):
         raise TypeError(f"not a sequence expression node: {node!r}")
     if entry is not None:
         if isinstance(value, np.ndarray):
+            # a view: float64 indices, which the walk reads as n, stay writeable
+            value = value.view()
             value.flags.writeable = False
         entry[1:] = ns, value
     return value
@@ -551,9 +554,12 @@ def eval_sequence_mp(expr: SequenceExpr, n: int):
 
 def _eval_float(expr: SequenceExpr, ns: np.ndarray, shared: dict | None = None) -> np.ndarray:
     """The float64 walk over a nonempty ns, then the output's own two tests."""
-    out = _eval(expr, None if shared is not None else ns.astype(np.float64), ns, _NP, shared)
+    x = None if shared is not None else np.asarray(ns, np.float64)
+    out = _eval(expr, x, ns, _NP, shared)
     if np.ndim(out) == 0:
         out = np.full(ns.shape, out, dtype=np.float64)
+    elif out is ns:  # the tree n over float64 indices: not the caller's array
+        out = out.copy()
     # nan fails both tests; the masks are built only to name the index
     if out.min() > 0 and out.max() < np.inf:
         return out
@@ -573,6 +579,9 @@ def _eval_float(expr: SequenceExpr, ns: np.ndarray, shared: dict | None = None) 
 def eval_array(expr: SequenceExpr, ns: np.ndarray, *, shared: dict | None = None) -> np.ndarray:
     """Evaluate at every index in ns through the float64 lane.
 
+    ns holds integers n >= 1, as an integer array or as a float64 one,
+    which the walk reads as n without a conversion; float64 holds every
+    integer exactly below 2^53, and both give the same values and faults.
     Runs the same walk and fault checks as eval_sequence_mp, elementwise.
     On top of them, float64 overflow shows up here as "not finite", where
     mpmath would return a value, and every result must be strictly

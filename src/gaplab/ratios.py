@@ -224,17 +224,19 @@ class ComparisonResult:
     violation_count: int
 
 
-# The float lane's chunk, in terms. Each of its float64 temporaries is then
-# 128 KB: the three trees' values and their temporaries stay in a 2 MB L2
-# cache and the allocator reuses them, where larger chunks are paged in fresh.
-# Summing 1/(n*ln(n)^2) to n = 2^25 and comparing it with both references,
-# each repeated subterm of the three trees evaluated once per chunk
+# The float lane's chunk, in terms; each float64 temporary is 256 KB. A chunk
+# reads one float64 index array as n in every tree, divides each tree's
+# values into term ratios once, and tests ln and division arguments in one
+# pass, so few enough temporaries are live that they stay in a 2 MB L2 cache
+# and the allocator reuses them; larger chunks are paged in fresh. Summing
+# 1/(n*ln(n)^2) to n = 2^25 and comparing it with both references
 # (summability_probe in-process, 2-core Xeon VM; per size the median over
 # seven processes of each one's best of 3, the sizes in rotated order) took
-# 0.82 / 0.62 / 0.63 s at 2^13 / 2^14 / 2^15 terms; 2^14 beat 2^15 in four
-# of the seven rounds and 2^13 in all seven. A probe took about 0 minor page
-# faults at 2^13 and 290 at 2^14 against 33 K at 2^15.
-_CHUNK = 1 << 14
+# 0.597 / 0.519 / 0.517 s at 2^14 / 2^15 / 2^16 terms, at 31.3 / 32.8 /
+# 34.8 MB peak RSS and about 290 / 1,300 / 3,170 minor page faults per probe.
+# 2^15 beat 2^14 in all seven rounds and 2^16 in three: it ties 2^16 on time
+# at 2 MB less.
+_CHUNK = 1 << 15
 
 
 def _chunks(n_lo: int, n_hi: int) -> Iterator[tuple[int, int]]:
@@ -244,33 +246,34 @@ def _chunks(n_lo: int, n_hi: int) -> Iterator[tuple[int, int]]:
         lo += _CHUNK
 
 
-def ratio_comparison(va: np.ndarray, vb: np.ndarray, n_lo: int) -> ComparisonResult:
-    """Compare term ratios of two positive sequences pointwise.
+def ratio_comparison(ra: np.ndarray, rb: np.ndarray, n_lo: int) -> ComparisonResult:
+    """Compare the term ratios of two positive sequences pointwise.
 
-    va and vb hold the two sequences' values at n_lo, n_lo + 1, ...,
-    n_lo + len(va) - 1, and the comparison a(n)/a(n+1) >= b(n)/b(n+1)
-    runs on [n_lo, n_lo + len(va) - 2]: the last value of each array only
-    gives the last term ratio. The comparison test of the second kind: if
-    a's term ratio dominates b's from some point on and b has a convergent
-    sum, then a does too. This is the finite-range report that feeds that
-    argument; summability_probe calls it once per chunk and reference.
+    ra and rb hold the term ratios a(n)/a(n+1) and b(n)/b(n+1) at n_lo,
+    n_lo + 1, ..., n_lo + len(ra) - 1, and the comparison ra >= rb runs on
+    that range; a nan ratio counts as a violation. The comparison test of
+    the second kind: if a's term ratio dominates b's from some point on
+    and b has a convergent sum, then a does too. This is the finite-range
+    report that feeds that argument; summability_probe calls it once per
+    chunk and reference, on ratios it divides once per tree.
     """
     if n_lo < 2:
         raise ValueError(f"comparison range must start at n >= 2, got {n_lo}")
-    if len(va) != len(vb):
-        raise ValueError(f"value arrays differ in length: {len(va)} and {len(vb)}")
-    if len(va) < 2:
-        raise ValueError(f"empty comparison range: {len(va)} values from n = {n_lo}")
-    n_hi = n_lo + len(va) - 2
-    bad = ~(va[:-1] / va[1:] >= vb[:-1] / vb[1:])
-    # tallied by count, so a range violated at every n (as a divergent
-    # reference's comparison often is) builds no index array; the reversed argmax, which
-    # copies the view, runs only when the last n is no violation
-    count = int(np.count_nonzero(bad))
+    if len(ra) != len(rb):
+        raise ValueError(f"term-ratio arrays differ in length: {len(ra)} and {len(rb)}")
+    if len(ra) < 1:
+        raise ValueError(f"empty comparison range: no term ratios from n = {n_lo}")
+    n_hi = n_lo + len(ra) - 1
+    holds = ra >= rb
+    # the violations are the complement of the count that holds, so no
+    # inverted mask is built and a range violated at every n (as a divergent
+    # reference's comparison often is) builds no index array; the reversed
+    # argmin, which copies the view, runs only when the last n holds
+    count = len(holds) - int(np.count_nonzero(holds))
     if not count:
         return ComparisonResult(n_lo, n_hi, None, None, 0)
-    first = int(np.argmax(bad)) + n_lo
-    last = n_hi if bad[-1] else n_hi - int(np.argmax(bad[::-1]))
+    first = int(np.argmin(holds)) + n_lo
+    last = n_hi - int(np.argmin(holds[::-1])) if holds[-1] else n_hi
     return ComparisonResult(n_lo, n_hi, first, last, count)
 
 
@@ -340,14 +343,18 @@ def summability_probe(
     rounded; one beyond the float range raises OverflowError.
 
     One pass over [2, n_max] in chunks: each chunk [lo, hi] evaluates the
-    candidate and both references once, on [lo, hi + 1]. The candidate's
-    values on [lo, hi] go to the exact sum, cut at the dyadic checkpoints,
-    and the three arrays give both reference comparisons, whose per-chunk
-    results are joined. The candidate is evaluated on n_max + 1 as well,
-    so a fault there is raised too.
+    candidate and both references once, on one float64 array of the
+    indices [lo, hi + 1]. The candidate's values on [lo, hi] go to the
+    exact sum, cut at the dyadic checkpoints, and each tree's term ratios
+    on [lo, hi], divided once, give both reference comparisons, whose
+    per-chunk results are joined. The candidate is evaluated on n_max + 1
+    as well, so a fault there is raised too. Float64 indices are exact
+    below 2^53, so n_max >= 2^53 is refused.
     """
     if n_max < 1024:
         raise ValueError(f"n_max must be >= 1024, got {n_max}")
+    if n_max >= 2**53:
+        raise ValueError(f"n_max must be below 2^53, where float64 indices are exact, got {n_max}")
 
     checkpoints = _dyadic_range(2, n_max)
     if checkpoints[-1] != n_max:
@@ -363,12 +370,13 @@ def summability_probe(
         # the candidate comes first, so a fault names the first offending n
         # of [2, n_max + 1] whichever tree it is in: the references have none
         for lo, hi in _chunks(2, n_max):
-            ns = np.arange(lo, hi + 2, dtype=np.int64)
+            ns = np.arange(lo, hi + 2, dtype=np.float64)
             values = eval_array(expr, ns, shared=shared)
-            conv_values = eval_array(conv_ref, ns, shared=shared)
-            conv_cmp = _joined(conv_cmp, ratio_comparison(values, conv_values, lo))
-            div_values = eval_array(div_ref, ns, shared=shared)
-            div_cmp = _joined(div_cmp, ratio_comparison(div_values, values, lo))
+            ratio = values[:-1] / values[1:]
+            conv = eval_array(conv_ref, ns, shared=shared)
+            conv_cmp = _joined(conv_cmp, ratio_comparison(ratio, conv[:-1] / conv[1:], lo))
+            div = eval_array(div_ref, ns, shared=shared)
+            div_cmp = _joined(div_cmp, ratio_comparison(div[:-1] / div[1:], ratio, lo))
             yield lo, values[:-1]
 
     acc = Fraction(0)

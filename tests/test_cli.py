@@ -211,6 +211,32 @@ def test_parse_emits_canonical_form_and_ast(capsys):
     assert doc["ast"]["op"] == "div"
 
 
+@pytest.mark.parametrize("text, printed", [("-(n-2)", "-(n - 2)"), ("-n", "-n"), ("--n", "--n")])
+def test_parse_takes_an_expr_value_that_starts_with_a_minus(capsys, text, printed):
+    # argparse alone reads such a value as a flag and leaves --expr without one
+    code, out, err = invoke(["parse", "--expr", text], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["expression"] == printed
+    assert invoke(["parse", f"--expr={text}"], capsys) == (0, out, "")
+
+
+def test_star_takes_an_expr_value_that_starts_with_a_minus(capsys):
+    argv = ["--r", "1", "--n-max", "1024"]
+    code, out, err = invoke(["star", "--expr", "-(-1/n^2)", *argv], capsys)
+    assert (code, err) == (0, "")
+    assert invoke(["star", "--expr=-(-1/n^2)", *argv], capsys) == (0, out, "")
+
+
+def test_expr_followed_by_a_flag_is_still_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "x.json"
+    code, out, err = invoke(["parse", "--expr", "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error == {"type": "UsageError", "message": "argument --expr: expected one argument"}
+    assert not target.exists()
+
+
 def test_star_command(capsys):
     code, out, _ = invoke(
         ["star", "--expr", "1/ln(n)^2", "--r", "2", "--n-max", str(2**12)], capsys

@@ -25,6 +25,8 @@ from gaplab.expr import (
     Pow,
     Sub,
     Var,
+    _NP,
+    _eval,
     _shared_subterms,
     eval_array,
     eval_sequence_mp,
@@ -245,6 +247,24 @@ def test_round_trip_is_structurally_stable(text):
     assert format_sequence(parse_sequence(printed)) == printed
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("-(n-2)", "-(n - 2)"),
+        ("-(n*2)", "-(n*2)"),
+        ("-(n^2)", "-(n^2)"),
+        ("-(1/2)", "-(1/2)"),
+        ("2^-(n-1)", "2^-(n - 1)"),
+        ("--n", "--n"),
+        ("1/-(n-2)", "1/-(n - 2)"),
+    ],
+)
+def test_unary_minus_over_a_compound_argument_prints_one_pair(text, printed):
+    tree = parse_sequence(text)
+    assert format_sequence(tree) == printed
+    assert parse_sequence(printed) == tree
+
+
 def _independent_eval(node, x: mpmath.mpf):
     """Reference evaluator for the corpus, separate from the library's."""
     if isinstance(node, Number):
@@ -453,6 +473,40 @@ def test_array_lane_empty_input():
 
 
 # ---------------------------------------------------------------------------
+# ln and division test an array argument in one pass, and build the mask
+# that names the n only when that test fails
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("bad", [0.0, -0.0, -3.0, math.nan, math.inf])
+@pytest.mark.parametrize("where", [0, 4, 8], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "node, fault, is_bad, op",
+    [
+        (Ln(Var()), "ln of nonpositive argument", lambda v: v <= 0, np.log),
+        (Div(num(1), Var()), "division by zero", lambda v: v == 0, lambda v: 1.0 / v),
+    ],
+    ids=["ln", "div"],
+)
+def test_one_pass_fault_tests_match_the_mask(node, fault, is_bad, op, where, bad, dtype):
+    # the argument is fed to the walk as n's value, so any float can sit in it
+    ns = np.arange(10, 19, dtype=dtype)
+    x = np.arange(1.0, 10.0)
+    x[where] = bad
+    mask = is_bad(x)
+    if mask.any():
+        n = int(ns[int(np.argmax(mask))])
+        text = format_sequence(node)
+        with pytest.raises(EvalError) as err:
+            _eval(node, x, ns, _NP)
+        assert type(err.value) is EvalError
+        assert str(err.value) == f"{fault} in '{text}' at n={n}"
+        assert (err.value.n, err.value.node) == (n, text)
+    else:  # nan and inf pass the walk's own test, and a negative divisor too
+        assert np.array_equal(_eval(node, x, ns, _NP).view(np.int64), op(x).view(np.int64))
+
+
+# ---------------------------------------------------------------------------
 # shared subterms: the same bits and the same faults as separate walks
 
 # one index, a few from n = 1, and one more than a probe chunk; one table
@@ -545,6 +599,53 @@ def test_shared_values_are_read_only():
 
 
 # ---------------------------------------------------------------------------
+# float64 indices: the same bits and the same faults as int64 ones
+
+
+@pytest.mark.parametrize(
+    "text",
+    EVAL_SAFE
+    + [
+        "1/(n-20) + ln(n-5)",
+        "ln(n-5) + 1/(n-20)",
+        "n^(1000*n) - 5",
+        "(12-n)^(n/2) + 1/(n-7)",
+        "1/(n-30)^2 + 1/(n-8)^2 + n",
+        "(n-3)^-1",
+        "n-5",
+        "1/ln(n)",
+    ],
+)
+def test_float64_indices_match_int64_indices(text):
+    # the permuted arrays send a fault through the retry on a prefix of ns,
+    # and the last one holds the largest indices float64 holds exactly
+    tree = parse_sequence(text)
+    (same_tree, *_), shared = _shared_subterms(tree, *_REFERENCES)
+    rng = np.random.default_rng(32)
+    top = np.arange(2**53 - 40, 2**53)
+    for ns in (np.arange(1, 40), np.arange(40, 0, -1), rng.permutation(np.arange(1, 40)), _SHARED_NS[2], top):
+        want = _outcome(tree, ns)
+        for got in (
+            _outcome(tree, ns.astype(np.float64)),
+            _outcome(same_tree, ns.astype(np.float64), shared),
+        ):
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+
+
+def test_float64_indices_stay_the_callers_own():
+    ns = np.arange(2.0, 100.0)
+    tree = parse_sequence("n")
+    got = eval_array(tree, ns)
+    assert got is not ns and np.array_equal(got, ns)
+    (same_tree, *_), shared = _shared_subterms(tree, *_REFERENCES)
+    assert not eval_array(same_tree, ns, shared=shared).flags.writeable
+    assert ns.flags.writeable
+
+
+# ---------------------------------------------------------------------------
 # generated trees round-trip too
 
 # only decimal literals exist in the grammar, so generated Numbers are
@@ -570,8 +671,23 @@ def _exprs():
     )
 
 
+def _doubled_parens(text: str) -> bool:
+    """Whether a pair of parentheses directly encloses another, as in -((n - 2)).
+
+    -((n + 1)*2) holds no such pair: its outer pair encloses a product.
+    """
+    opens, close_of = [], {}
+    for i, c in enumerate(text):
+        if c == "(":
+            opens.append(i)
+        elif c == ")":
+            close_of[opens.pop()] = i
+    return any(close_of.get(i + 1) == j - 1 for i, j in close_of.items())
+
+
 @settings(max_examples=200, deadline=None)
 @given(_exprs())
 def test_generated_trees_round_trip(tree):
     printed = format_sequence(tree)
     assert parse_sequence(printed) == tree
+    assert not _doubled_parens(printed), printed

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import gaplab
+import gaplab.ratios as ratios
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -42,12 +43,15 @@ def test_traced_boundary_resolves(module_name, attr, is_generator):
 
 def test_traced_star_keeps_its_spans(tmp_path):
     # the traced star-2e25 run needs these spans and counts the terms they
-    # see; n_max = 2 + 2^14 makes two probe chunks, the second of one term,
-    # so three evaluations and two comparisons per chunk show as 6 and 4
+    # see; n_max = 2 + _CHUNK makes two probe chunks, the second of one term,
+    # so three evaluations and two comparisons per chunk show as 6 and 4.
+    # Each evaluation reads its chunk and one index past it, and the sums are
+    # cut at the dyadic n from 2 to _CHUNK, at the chunk's end and at n_max
+    chunk = ratios._CHUNK
     package_root = str(Path(gaplab.__file__).resolve().parent.parent)
     child_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     spans_file = tmp_path / "spans.json"
-    command = ["star", "--expr", "1/(n*ln(n)^2)", "--r", "1", "--n-max", "16386"]
+    command = ["star", "--expr", "1/(n*ln(n)^2)", "--r", "1", "--n-max", str(2 + chunk)]
     proc = subprocess.run(
         [sys.executable, str(TRACED), str(spans_file), *command, "--out", str(tmp_path / "star.json")],
         capture_output=True,
@@ -58,6 +62,7 @@ def test_traced_star_keeps_its_spans(tmp_path):
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(spans_file.read_text(encoding="utf-8"))
     calls = Counter(name for name, *_ in traced["spans"])
-    assert (calls["expr.eval"], calls["ratios.compare"], calls["accum.sum"]) == (6, 4, 16)
+    sums = chunk.bit_length() + 1
+    assert (calls["expr.eval"], calls["ratios.compare"], calls["accum.sum"]) == (6, 4, sums)
     counts = traced["counts"]
-    assert (counts["expr.terms"], counts["accum.terms"]) == (49_161, 16_385)
+    assert (counts["expr.terms"], counts["accum.terms"]) == (3 * (chunk + 1) + 3 * 2, chunk + 1)

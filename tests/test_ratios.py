@@ -131,37 +131,43 @@ def test_extrapolation_table_carries_differences():
 
 
 def values(text: str, n_lo: int, n_hi: int) -> np.ndarray:
-    """The sequence's float64 values on [n_lo, n_hi + 1]: a comparison's input on [n_lo, n_hi]."""
+    """The sequence's float64 values on [n_lo, n_hi + 1]: its term ratios' input on [n_lo, n_hi]."""
     return eval_array(expr(text), np.arange(n_lo, n_hi + 2, dtype=np.int64))
 
 
+def term_ratios(text: str, n_lo: int, n_hi: int) -> np.ndarray:
+    """The sequence's term ratios b(n)/b(n+1) on [n_lo, n_hi]: a comparison's input."""
+    v = values(text, n_lo, n_hi)
+    return v[:-1] / v[1:]
+
+
 def test_comparison_equal_sequences_hold_trivially():
-    v = values("1/n", 2, 500)
-    res = ratio_comparison(v, v, 2)
+    r = term_ratios("1/n", 2, 500)
+    res = ratio_comparison(r, r, 2)
     assert (res.n_lo, res.n_hi) == (2, 500)
     assert res.violation_count == 0
 
 
 def test_comparison_inverse_square_dominates_harmonic():
-    res = ratio_comparison(values("1/(n^2)", 2, 10**4), values("1/n", 2, 10**4), 2)
+    res = ratio_comparison(term_ratios("1/(n^2)", 2, 10**4), term_ratios("1/n", 2, 10**4), 2)
     assert res.violation_count == 0
 
 
 def test_comparison_first_violation_is_reported():
-    res = ratio_comparison(values("1/n", 2, 100), values("1/(n^2)", 2, 100), 2)
+    res = ratio_comparison(term_ratios("1/n", 2, 100), term_ratios("1/(n^2)", 2, 100), 2)
     assert res.violation_count == 99
     assert (res.first_violation, res.last_violation) == (2, 100)
 
 
 def test_comparison_range_validation():
-    v = values("1/n", 1, 10)
+    r = term_ratios("1/n", 1, 10)
     with pytest.raises(ValueError, match="n >= 2"):
-        ratio_comparison(v, v, 1)
+        ratio_comparison(r, r, 1)
     with pytest.raises(ValueError, match="empty"):
-        ratio_comparison(v[:1], v[:1], 10)
+        ratio_comparison(r[:0], r[:0], 10)
     # a ratio array of length 1 would broadcast against the other's
     with pytest.raises(ValueError, match="differ in length"):
-        ratio_comparison(v[:2], v, 2)
+        ratio_comparison(r[:1], r, 2)
 
 
 @pytest.mark.parametrize(
@@ -176,19 +182,40 @@ def test_comparison_range_validation():
 @pytest.mark.parametrize("n_lo,n_hi", [(2, 40), (3, 16), (6, 13), (7, 8), (9, 9)])
 def test_comparison_violations_are_chunk_invariant(monkeypatch, a_text, b_text, n_lo, n_hi):
     # the probe's cut: one comparison per 7-term chunk, each on its own
-    # values at [lo, hi + 1], joined into one result
-    va, vb = values(a_text, n_lo, n_hi), values(b_text, n_lo, n_hi)
-    direct = np.flatnonzero(~(va[:-1] / va[1:] >= vb[:-1] / vb[1:])) + n_lo
+    # term ratios at [lo, hi], joined into one result
+    ra, rb = term_ratios(a_text, n_lo, n_hi), term_ratios(b_text, n_lo, n_hi)
+    direct = np.flatnonzero(~(ra >= rb)) + n_lo
     monkeypatch.setattr(ratios, "_CHUNK", 7)
     joined = None
     for lo, hi in ratios._chunks(n_lo, n_hi):
-        part = ratio_comparison(va[lo - n_lo : hi - n_lo + 2], vb[lo - n_lo : hi - n_lo + 2], lo)
+        part = ratio_comparison(ra[lo - n_lo : hi - n_lo + 1], rb[lo - n_lo : hi - n_lo + 1], lo)
         joined = ratios._joined(joined, part)
-    for res in (ratio_comparison(va, vb, n_lo), joined):
+    for res in (ratio_comparison(ra, rb, n_lo), joined):
         assert (res.n_lo, res.n_hi) == (n_lo, n_hi)
         assert res.violation_count == len(direct)
         assert res.first_violation == (int(direct[0]) if len(direct) else None)
         assert res.last_violation == (int(direct[-1]) if len(direct) else None)
+
+
+def test_comparison_on_term_ratios_matches_flatnonzero():
+    # ratios drawn from a few values tie often, and a tie holds; nan never
+    # holds, on either side
+    rng = np.random.default_rng(32)
+    pool = np.array([1.0, 2.0, 3.0, np.nan])
+    cases = [
+        (np.ones(9), np.ones(9)),  # ties everywhere
+        (np.ones(9), np.full(9, 2.0)),  # violated everywhere
+        (np.full(9, np.nan), np.ones(9)),
+        (np.ones(1), np.full(1, np.nan)),
+    ]
+    cases += [(rng.choice(pool, k), rng.choice(pool, k)) for k in rng.integers(1, 12, 300)]
+    for ra, rb in cases:
+        direct = np.flatnonzero(~(ra >= rb)) + 5
+        res = ratio_comparison(ra, rb, 5)
+        assert (res.n_lo, res.n_hi) == (5, 4 + len(ra))
+        assert res.violation_count == len(direct), (ra, rb)
+        assert res.first_violation == (int(direct[0]) if len(direct) else None), (ra, rb)
+        assert res.last_violation == (int(direct[-1]) if len(direct) else None), (ra, rb)
 
 
 def _terms_violated_at(violations, n_max):
@@ -220,7 +247,7 @@ def test_comparison_tally_matches_flatnonzero(violations, n_hi):
     ns = np.arange(2, n_hi + 2)
     direct = np.flatnonzero(~(terms[ns][:-1] / terms[ns][1:] >= 1.0)) + 2
     assert set(direct.tolist()) == {n for n in violations if n <= n_hi}
-    res = ratio_comparison(terms[ns], np.ones(len(ns)), 2)
+    res = ratio_comparison(terms[ns][:-1] / terms[ns][1:], np.ones(len(ns) - 1), 2)
     assert res.first_violation == (int(direct[0]) if len(direct) else None)
     assert res.last_violation == (int(direct[-1]) if len(direct) else None)
     assert res.violation_count == len(direct)
@@ -255,7 +282,7 @@ def test_probe_comparisons_match_flatnonzero_at_chunk_edges(monkeypatch, violati
     monkeypatch.setattr(
         ratios,
         "eval_array",
-        lambda e, ns, *, shared: terms[ns] if e == candidate else np.ones(len(ns)),
+        lambda e, ns, *, shared: terms[ns.astype(np.int64)] if e == candidate else np.ones(len(ns)),
     )
     monkeypatch.setattr(ratios, "_CHUNK", 7)
     ns = np.arange(2, n_max + 2)
@@ -306,7 +333,7 @@ def test_comparison_consequence_transfers_geometric_decay():
     # if a's ratio dominates b's on the range and b's dyadic increments
     # shrink geometrically, a's must as well
     a, b = "1/(n^3)", "1/(n^2)"
-    assert ratio_comparison(values(a, 2, 2**13), values(b, 2, 2**13), 2).violation_count == 0
+    assert ratio_comparison(term_ratios(a, 2, 2**13), term_ratios(b, 2, 2**13), 2).violation_count == 0
     pa = summability_probe(expr(a), 2**13)
     pb = summability_probe(expr(b), 2**13)
     assert pb.geometric_decay
@@ -391,6 +418,10 @@ def test_probe_never_claims_proof():
 def test_probe_range_validation():
     with pytest.raises(ValueError):
         summability_probe(expr("1/n"), 1023)
+    # float64 indices are exact only below 2^53; the refusal comes before
+    # the first chunk, or this would run for years
+    with pytest.raises(ValueError, match="below 2\\^53"):
+        summability_probe(expr("1/n"), 2**53)
 
 
 # ---------------------------------------------------------------------------
