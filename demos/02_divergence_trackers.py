@@ -13,8 +13,9 @@ for r in rows:
     gap = f"{r.loglog_gap:.6f}" if r.loglog_gap is not None else "-"
     print(f"{r.n:>10,} {r.p_n:>12,} {r.partial_sum:>14.8f} {gap:>16}")
 print("the sum crawls upward forever (divergence), gaining about ln 2 per")
-print("squaring of the prime; the right column settles near 0.2615, a")
-print("Mertens-type constant this artifact reports but makes no claims about.")
+print("squaring of the prime. The right column is finite-range evidence of")
+print("Mertens' theorem (a theorem): it tends to B = 0.2614972128..., and lies")
+print("within 1/(2 ln^2 p_n) of B once p_n >= 286 (Rosser & Schoenfeld 1962).")
 
 print()
 print("== p_n / (n ln n) at dyadic checkpoints ==")

@@ -176,6 +176,10 @@ def _int_list(text: str) -> list[int]:
 class _Parser(argparse.ArgumentParser):
     """Raises each command-line error as a UsageError, so main emits it as JSON."""
 
+    def __init__(self, **kwargs):
+        # one spelling per flag, in each subcommand's parser too: --ex is not --expr
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         raise UsageError(message)
 

@@ -26,23 +26,25 @@ per index and reported at the first offending one. So (n-5)^(n/2) is
 fine at n = 4, where (-1)^2 is an integer power, and fails at n = 3 in
 either lane. The mpmath power saturates to inf or 0 past a
 log-magnitude of 2^64, so a power tower fails "not finite" in both lanes
-instead of running for ever.
+instead of running for ever. numpy's overflow and invalid warnings are off
+in the float64 walk: its overflow and nan fail the output's own tests.
 
 Trees evaluated together on the same indices can share their repeated
 subterms: eval_array's keyword shared takes a table that holds each
 subtree occurring more than once among them, and the walk evaluates such
-a subtree once per index array, n's float conversion included. Subtrees
-are shared only where format_sequence prints them alike, since a fault
-names its subtree as printed. A value the table holds is returned
-read-only, because every tree that contains it receives that one array.
+a subtree once per index array. Subtrees are shared only where
+format_sequence prints them alike, since a fault names its subtree as
+printed. A value the table holds is returned read-only, because every
+tree that contains it receives that one array.
 """
 
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Any, Callable, Union
+from typing import Any, Callable, Mapping, Union
 
 import numpy as np
 
@@ -372,11 +374,6 @@ class _Lane:
     floor: Callable[[Any], Any]
 
 
-def _np_power(base, expo):
-    with np.errstate(over="ignore"):
-        return np.power(base, expo)
-
-
 # A power whose log-magnitude |expo * ln|base|| exceeds this saturates to inf
 # or 0, as float64 does far sooner. The cap lies far past every value the
 # float lane can hold (|ln| < 745) and far below where mpmath.power stops
@@ -412,7 +409,8 @@ def _mp_lane() -> _Lane:
     )
 
 
-_NP = _Lane(const=float, ln=np.log, power=_np_power, floor=np.floor)
+_NP = _Lane(const=float, ln=np.log, power=np.power, floor=np.floor)
+_NO_SHARED: Mapping = types.MappingProxyType({})  # the table of a walk that shares nothing
 
 
 def _first_bad(ns, mask) -> int:
@@ -429,18 +427,16 @@ def _check(bad, fault: str, node: SequenceExpr, ns) -> None:
         )
 
 
-def _eval(node: SequenceExpr, x, ns, lane: _Lane, shared: dict | None = None):
+def _eval(node: SequenceExpr, x, ns, lane: _Lane, shared: Mapping = _NO_SHARED):
     # a subtree the table holds is evaluated once per index array: its entry
     # is [node, ns, value], and a value computed on another ns is replaced
-    entry = shared.get(id(node)) if shared is not None else None
+    entry = shared.get(id(node))
     if entry is not None and entry[1] is ns:
         return entry[2]
     if isinstance(node, Number):
         value = lane.const(node.value)
     elif isinstance(node, Var):
-        # a float walk with a table reads n here, where the table can hold it;
-        # float64 indices are read as they are
-        value = np.asarray(ns, np.float64) if x is None else x
+        value = x
     elif isinstance(node, Ln):
         v = _eval(node.arg, x, ns, lane, shared)
         # an array is tested in one pass; its mask is built only to name the n
@@ -552,10 +548,10 @@ def eval_sequence_mp(expr: SequenceExpr, n: int):
         return val
 
 
-def _eval_float(expr: SequenceExpr, ns: np.ndarray, shared: dict | None = None) -> np.ndarray:
+def _eval_float(expr: SequenceExpr, ns: np.ndarray, shared: Mapping = _NO_SHARED) -> np.ndarray:
     """The float64 walk over a nonempty ns, then the output's own two tests."""
-    x = None if shared is not None else np.asarray(ns, np.float64)
-    out = _eval(expr, x, ns, _NP, shared)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _eval(expr, np.asarray(ns, np.float64), ns, _NP, shared)
     if np.ndim(out) == 0:
         out = np.full(ns.shape, out, dtype=np.float64)
     elif out is ns:  # the tree n over float64 indices: not the caller's array
@@ -576,19 +572,20 @@ def _eval_float(expr: SequenceExpr, ns: np.ndarray, shared: dict | None = None) 
     raise PositivityError(f"not a positive sequence at n={n}: '{text}'{hint}", node=text, n=n)
 
 
-def eval_array(expr: SequenceExpr, ns: np.ndarray, *, shared: dict | None = None) -> np.ndarray:
+def eval_array(expr: SequenceExpr, ns: np.ndarray, *, shared: Mapping = _NO_SHARED) -> np.ndarray:
     """Evaluate at every index in ns through the float64 lane.
 
     ns holds integers n >= 1, as an integer array or as a float64 one,
     which the walk reads as n without a conversion; float64 holds every
     integer exactly below 2^53, and both give the same values and faults.
     Runs the same walk and fault checks as eval_sequence_mp, elementwise.
-    On top of them, float64 overflow shows up here as "not finite", where
-    mpmath would return a value, and every result must be strictly
-    positive. A fault is reported at the first offending position of ns
-    across all of these checks, so the report does not depend on how a
-    caller cuts its indices into arrays. At one position the walk's faults
-    come first, in walk order, then "not finite", then positivity.
+    On top of them, every result must be finite and strictly positive, and a
+    float64 overflow or nan fails these tests, where mpmath would return a
+    value; numpy's warnings are off in the walk. A fault is reported at the
+    first offending position of ns across all of these checks, so the report
+    does not depend on how a caller cuts its indices into arrays. At one
+    position the walk's faults come first, in walk order, then "not finite",
+    then positivity.
 
     shared is a table of repeated subtrees, built once for a set of trees
     by _shared_subterms, whose interned trees are the ones to pass here.

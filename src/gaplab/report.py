@@ -27,7 +27,7 @@ matrix whose unused positions hold the pad byte 0; the matrices and the
 literal separators are stacked side by side, and the pad bytes are
 dropped. Integers (%d) are looked up four digits at a time in a table
 whose top-group entries carry pads for their leading zeros. The
-threshold (%.15g, the same text as format_float) is exact: with
+threshold (%.15g, the same text as _format_float) is exact: with
 X = floor(log10 t) and k = 14 - X, Dekker's two-product gives
 t*10^k = hi + lo with no rounding (10^k is a double for k <= 22). For
 10^14 <= hi < 2^50, ulp(hi) <= 1/8 divides 1/2 and |lo| <= ulp(hi)/2,
@@ -38,7 +38,7 @@ row keeps Python's '%.15g' unless t > 0, -4 <= X <= 14 after the carry
 (no exponent form) and hi + lo >= 10^14 (log10 may put X one too high
 near a power of ten). Before any row is written, the whole threshold
 column is checked, and a non-finite threshold raises the ValueError
-that format_float raises.
+that _format_float raises.
 
 CSV: each artifact is one table. The two array-backed tables are
 written as a header line plus kernel chunks; the others (histogram,
@@ -77,7 +77,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SieveSummary",
     "ParsedExpression",
-    "format_float",
     "export_report",
     "parse_report",
 ]
@@ -102,7 +101,7 @@ def _non_finite(x: float) -> ValueError:
     return ValueError(f"non-finite value cannot be exported: {x!r}")
 
 
-def format_float(x: float) -> str:
+def _format_float(x: float) -> str:
     """15 significant digits; the one float format every export uses."""
     if not math.isfinite(x):
         raise _non_finite(x)
@@ -282,7 +281,7 @@ def _hit_text(report: ScanReport, as_json: bool) -> Iterator[bytes]:
     """The hit rows as text, one bytes object per chunk of _HIT_ROWS rows:
     JSON rows [n,p_n,p_next,g_n,threshold,borderline] joined by commas, or
     CSV lines. The whole threshold column is checked first, because
-    %.15g prints inf and nan where format_float refuses them."""
+    %.15g prints inf and nan where _format_float refuses them."""
     thr = report.hits_threshold
     finite = np.isfinite(thr)
     if not finite.all():
@@ -333,7 +332,7 @@ def _json_fields(value) -> dict:
 
 def _json_pieces(value) -> Iterator[bytes]:
     """UTF-8 JSON text of a report value, in pieces (rules above): keys
-    sorted, floats via format_float.
+    sorted, floats via _format_float.
 
     An iterator holds pre-encoded JSON items (the scan hit chunks); each
     is yielded as it is.
@@ -371,7 +370,7 @@ def _json_pieces(value) -> Iterator[bytes]:
     elif isinstance(value, (int, np.integer)):
         yield str(int(value)).encode()
     elif isinstance(value, (float, np.floating)):
-        yield format_float(float(value)).encode()
+        yield _format_float(float(value)).encode()
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
@@ -471,7 +470,7 @@ def _fmt_cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, (float, np.floating)):
-        return format_float(float(v))
+        return _format_float(float(v))
     return str(v)
 
 

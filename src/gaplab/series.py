@@ -6,9 +6,12 @@ index: log-spaced evidence is the only kind that says anything about
 series this slow (the reciprocal-prime sum grows like ln ln x).
 
 partial_sum is the exact sum of the float64 terms 1/p, kept as one exact
-running total and correctly rounded at each checkpoint; loglog_gap =
-partial_sum - ln ln p_n is reported as a plumbing observation with no
-convergence claim attached.
+running total and correctly rounded at each checkpoint. loglog_gap =
+partial_sum - ln ln p_n is Mertens' offset. Theorem (Mertens 1874): it
+tends to B = 0.2614972128... (OEIS A077761), and it lies within
+1/(2 ln^2 p_n) of B at every p_n >= 286 (Rosser & Schoenfeld, Illinois
+J. Math. 6, 1962, Theorem 5). The reported values are finite-range
+evidence of that approach, not a proof of it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,16 @@ def _checkpoint_record(n: int, p_n: int, partial: float) -> SeriesCheckpoint:
     return SeriesCheckpoint(n=n, p_n=p_n, partial_sum=partial, pnt_ratio=ratio, loglog_gap=gap)
 
 
-def _track(limit: int, checkpoints: list[int] | None) -> list[SeriesCheckpoint]:
+def reciprocal_prime_sum(
+    limit: int, checkpoints: list[int] | None = None
+) -> list[SeriesCheckpoint]:
+    """Partial sums of 1/p_1 + 1/p_2 + ... at the checkpoint indices.
+
+    Each value is the exact sum of the float64 terms 1/p, correctly
+    rounded, so the reported values do not depend on segmentation.
+    Checkpoints default to powers of two plus the final index; an explicit
+    empty list is rejected.
+    """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     explicit = checkpoints is not None
@@ -82,19 +94,6 @@ def _track(limit: int, checkpoints: list[int] | None) -> list[SeriesCheckpoint]:
     return out
 
 
-def reciprocal_prime_sum(
-    limit: int, checkpoints: list[int] | None = None
-) -> list[SeriesCheckpoint]:
-    """Partial sums of 1/p_1 + 1/p_2 + ... at the checkpoint indices.
-
-    Each value is the exact sum of the float64 terms 1/p, correctly
-    rounded, so the reported values do not depend on segmentation.
-    Checkpoints default to powers of two plus the final index; an explicit
-    empty list is rejected.
-    """
-    return _track(limit, checkpoints)
-
-
 def pnt_ratio_track(
     limit: int | None = None, checkpoints: list[int] | None = None
 ) -> list[SeriesCheckpoint]:
@@ -112,4 +111,4 @@ def pnt_ratio_track(
         limit = _nth_prime_bound(max(checkpoints))
     elif limit < 3:
         raise ValueError(f"pnt ratio needs n >= 2, so limit must be >= 3, got {limit}")
-    return _track(limit, checkpoints)
+    return reciprocal_prime_sum(limit, checkpoints)

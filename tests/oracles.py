@@ -123,6 +123,22 @@ def reciprocal_sum_mp(primes: list[int], limit: int, dps: int = 40) -> mpmath.mp
         return total
 
 
+# Mertens' constant B, the limit of sum_{p <= x} 1/p - ln ln x (Mertens
+# 1874), to 20 digits from OEIS A077761: 0.26149721284764278375...
+MERTENS_B = 0.26149721284764278375
+
+
+def mertens_bracket(x: int) -> float:
+    """Rosser & Schoenfeld's bound on |sum_{p <= x} 1/p - ln ln x - B|.
+
+    The sum lies strictly within 1/(2 ln^2 x) of ln ln x + B for every
+    x >= 286 (Illinois J. Math. 6, 1962, Theorem 5).
+    """
+    if x < 286:
+        raise ValueError(f"the bracket holds for x >= 286, got {x}")
+    return 1 / (2 * math.log(x) ** 2)
+
+
 def mp_eval(text_free_fn, n: int, dps: int = 50) -> mpmath.mpf:
     """Evaluate a closed-form family at n with mpmath at high precision."""
     with mpmath.workdps(dps):

@@ -417,8 +417,14 @@ def test_flags_beat_config_file_values(tmp_path, capsys, argv, file_values, key,
     (["frob"], "invalid choice: 'frob'"),
     ([], "command must be one of"),
     (["sieve", "--limit", "100", "--threads", "0"], "--threads must be >= 1, got 0"),
+    # each flag has one spelling: --ex is no --expr, with or without '='
+    (["parse", "--ex", "-n"], "unrecognized arguments: --ex -n"),
+    (["parse", "--ex=-n"], "unrecognized arguments: --ex=-n"),
+    (["star", "--expr", "1/n^2", "--r", "1", "--n-m", "2048"], "unrecognized arguments: --n-m 2048"),
+    (["gaps", "--lim", "100"], "unrecognized arguments: --lim 100"),
 ], ids=["parse-no-expr", "star-no-expr", "star-no-r", "format-xml", "limit-abc",
-        "checkpoints-x", "unknown-flag", "unknown-command", "no-command", "threads-0"])
+        "checkpoints-x", "unknown-flag", "unknown-command", "no-command", "threads-0",
+        "abbrev-ex", "abbrev-ex-equals", "abbrev-n-m", "abbrev-lim"])
 def test_every_usage_error_is_one_json_object(capsys, argv, message):
     code, out, err = invoke(argv, capsys)
     assert (code, out) == (2, "")
@@ -533,6 +539,22 @@ def test_power_tower_fails_fast_instead_of_hanging():
     proc = run_child(["star", "--expr", "1.5^(ln(3)^15^5)/n^2", "--r", "1"], timeout=30)
     assert proc.returncode == 1
     assert "not finite" in proc.stderr
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("1/(n^100*10^250)", "PositivityError",
+     "not a positive sequence at n=4: '1/(n^100*10^250)' "
+     "(exact zero; rapidly decaying sequences can underflow the float64 lane)"),
+    ("1/(n^400-n^400+n^2)", "EvalError",
+     "evaluation of '1/(n^400 - n^400 + n^2)' is not finite at n=6"),
+], ids=["overflow-to-zero", "inf-minus-inf"])
+def test_a_float64_overflow_is_one_json_error_and_no_numpy_warning(text, error, message):
+    # the child keeps Python's default filters, which would print numpy's
+    # RuntimeWarning on stderr ahead of the JSON error
+    proc = run_child(["star", "--expr", text, "--r", "1", "--n-max", "1024"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == {"type": error, "message": message}
 
 
 def test_identical_runs_produce_identical_bytes(tmp_path):

@@ -25,6 +25,7 @@ from gaplab.expr import (
     Pow,
     Sub,
     Var,
+    _NO_SHARED,
     _NP,
     _eval,
     _shared_subterms,
@@ -449,6 +450,23 @@ def test_only_the_array_lane_overflows():
     assert mpmath.isfinite(eval_sequence_mp(tree, 17))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize(
+    "text, error, n",
+    [
+        ("1/(n^100*10^250)", PositivityError, 4),  # the product overflows: 1/inf is 0
+        ("1/(n^400-n^400+n^2)", EvalError, 6),  # inf - inf is nan
+    ],
+)
+def test_overflow_and_nan_are_faults_not_warnings(text, error, n, dtype):
+    # pytest turns every warning into an error, so a numpy RuntimeWarning
+    # from the walk would be raised here in place of the lane's own fault
+    with pytest.raises(error) as bulk:
+        eval_array(parse_sequence(text), np.arange(2, 10, dtype=dtype))
+    assert type(bulk.value) is error
+    assert bulk.value.n == n
+
+
 def test_power_tower_fails_alike_in_both_lanes():
     # ln(3)^15^5 is about 10^31000; mpmath.power would never return
     tree = parse_sequence("1.5^(ln(3)^15^5)")
@@ -515,7 +533,7 @@ _SHARED_NS = (np.array([2]), np.arange(1, 8), np.arange(2, 2**14 + 3))
 _REFERENCES = (parse_sequence(CONVERGENT_REFERENCE), parse_sequence(DIVERGENT_REFERENCE))
 
 
-def _outcome(tree, ns, shared=None):
+def _outcome(tree, ns, shared=_NO_SHARED):
     try:
         values = eval_array(tree, ns, shared=shared)
     except EvalError as err:
@@ -578,12 +596,11 @@ def test_shared_subterms_match_separate_walks_on_random_trees():
     rng = random.Random(31)
     pool = [parse_sequence(t) for t in ("ln(n)", "n*ln(n)", "ln(n)^2", "n - 2", "n - 2.0")]
     faults = 0
-    # float64 overflow and nan are the lane's own faults here, not warnings
-    with np.errstate(all="ignore"):
-        for _ in range(200):
-            candidate = _random_tree(rng, pool, 4)
-            _assert_sharing_changes_nothing(candidate)
-            faults += isinstance(_outcome(candidate, _SHARED_NS[2]), tuple)
+    # float64 overflow and nan are the lane's own faults, never warnings
+    for _ in range(200):
+        candidate = _random_tree(rng, pool, 4)
+        _assert_sharing_changes_nothing(candidate)
+        faults += isinstance(_outcome(candidate, _SHARED_NS[2]), tuple)
     # both outcomes are common enough to be compared
     assert 20 < faults < 180, faults
 

@@ -25,10 +25,10 @@ from gaplab.report import (
     SieveSummary,
     _decimal,
     _float_field,
+    _format_float,
     _int_field,
     _rows,
     export_report,
-    format_float,
     parse_report,
 )
 from gaplab.series import reciprocal_prime_sum
@@ -61,12 +61,12 @@ def all_reports():
 
 
 def test_format_float_is_15_significant_digits():
-    assert format_float(math.pi) == "3.14159265358979"
-    assert format_float(2.0) == "2"
-    assert format_float(0.26153741) == "0.26153741"
-    assert format_float(1e22) == "1e+22"
+    assert _format_float(math.pi) == "3.14159265358979"
+    assert _format_float(2.0) == "2"
+    assert _format_float(0.26153741) == "0.26153741"
+    assert _format_float(1e22) == "1e+22"
     with pytest.raises(ValueError):
-        format_float(float("inf"))
+        _format_float(float("inf"))
 
 
 def test_json_is_versioned_and_sorted():
@@ -355,7 +355,7 @@ def _int_texts(values) -> list[str]:
 def test_float_kernel_is_format_float(xs):
     # both signs, subnormals and exponent form: every finite double, with
     # fallback rows among kernel rows
-    assert _float_texts(xs) == [format_float(x) for x in xs]
+    assert _float_texts(xs) == [_format_float(x) for x in xs]
 
 
 @given(st.floats(min_value=1e-4, max_value=1e15, exclude_max=True))
@@ -378,7 +378,7 @@ def test_decimal_is_the_digits_of_percent_14e(x):
     ],
 )
 def test_ties_at_the_16th_digit_round_to_even(x, text):
-    assert format_float(x) == text
+    assert _format_float(x) == text
     assert _decimal(np.array([x]))[2][0]  # printed by the kernel, not the fallback
     assert _float_texts([x]) == [text]
 
@@ -390,7 +390,7 @@ def test_powers_of_ten_and_their_neighbours():
     xs = np.array(_NEAR_POWERS)
     xs = np.concatenate([np.nextafter(xs, 0), xs, np.nextafter(xs, np.inf)])
     xs = np.concatenate([xs, -xs, [0.0, -0.0, 5e-324, 1.7976931348623157e308]])
-    assert _float_texts(xs) == [format_float(x) for x in xs.tolist()]
+    assert _float_texts(xs) == [_format_float(x) for x in xs.tolist()]
 
 
 def test_integer_kernel_edges():

@@ -8,7 +8,7 @@ import pytest
 import gaplab.series as series
 from gaplab.series import pnt_ratio_track, reciprocal_prime_sum
 
-from oracles import reciprocal_sum_exact, reciprocal_sum_mp
+from oracles import MERTENS_B, mertens_bracket, reciprocal_sum_exact, reciprocal_sum_mp
 
 
 def test_four_term_sum_is_exact_fraction():
@@ -37,8 +37,23 @@ def test_loglog_gap_at_1e6():
     rows = reciprocal_prime_sum(10**6)
     last = rows[-1]
     assert last.p_n == 999983
-    # Mertens-type constant emerging; frozen from the dps-50 oracle
+    # Mertens' offset, 4e-5 above B at 10^6; frozen from the dps-50 oracle
     assert abs(last.loglog_gap - 0.2615374156) < 1e-6
+
+
+@pytest.mark.parametrize("limit, checkpoints, bracketed", [
+    # the dyadic checkpoints from 2^6 (p_64 = 311) to 2^22, and n = pi(10^8)
+    (10**8, None, 18),
+    # p_1000 = 7,919 and p_78498 = 999,983, as `gaplab series --checkpoints 1000,78498`
+    (10**6, [1000, 78498], 2),
+])
+def test_loglog_gap_lies_in_the_rosser_schoenfeld_bracket(limit, checkpoints, bracketed):
+    # a theorem, so it holds at every checkpoint with p_n >= 286; the largest
+    # share of the bound used to 10^7 is 0.686, at p_64 = 311
+    rows = [r for r in reciprocal_prime_sum(limit, checkpoints) if r.p_n >= 286]
+    assert len(rows) == bracketed
+    for r in rows:
+        assert abs(r.loglog_gap - MERTENS_B) < mertens_bracket(r.p_n), (r.n, r.p_n)
 
 
 def test_partial_sums_strictly_increase():
