@@ -89,7 +89,7 @@ def ratio_excess(expr: SequenceExpr, n: int) -> float:
     """e_n = n ln(n) (b(n)/b(n+1) - 1), computed in extended precision.
 
     Requires n >= 2 (n ln n vanishes at 1) and positive values at n and
-    n + 1.
+    n + 1. An e_n beyond the float range raises OverflowError naming n.
     """
     # imported here, not at the top, as in expr.eval_sequence_mp: only the
     # exact lane pays for mpmath
@@ -104,7 +104,10 @@ def ratio_excess(expr: SequenceExpr, n: int) -> float:
         v1 = eval_sequence_mp(expr, n)
         v2 = eval_sequence_mp(expr, n + 1)
         nn = mpmath.mpf(n)
-        return float(nn * mpmath.ln(nn) * (v1 / v2 - 1))
+        excess = float(nn * mpmath.ln(nn) * (v1 / v2 - 1))
+    if not math.isfinite(excess):
+        raise OverflowError(f"ratio excess at n={n} exceeds the float range")
+    return excess
 
 
 @dataclass
@@ -371,12 +374,15 @@ def summability_probe(
         # of [2, n_max + 1] whichever tree it is in: the references have none
         for lo, hi in _chunks(2, n_max):
             ns = np.arange(lo, hi + 2, dtype=np.float64)
-            values = eval_array(expr, ns, shared=shared)
-            ratio = values[:-1] / values[1:]
-            conv = eval_array(conv_ref, ns, shared=shared)
-            conv_cmp = _joined(conv_cmp, ratio_comparison(ratio, conv[:-1] / conv[1:], lo))
-            div = eval_array(div_ref, ns, shared=shared)
-            div_cmp = _joined(div_cmp, ratio_comparison(div[:-1] / div[1:], ratio, lo))
+            # terms a factor beyond the float range apart give an inf (or
+            # 0.0) ratio, which compares like any other, with no warning
+            with np.errstate(over="ignore"):
+                values = eval_array(expr, ns, shared=shared)
+                ratio = values[:-1] / values[1:]
+                conv = eval_array(conv_ref, ns, shared=shared)
+                conv_cmp = _joined(conv_cmp, ratio_comparison(ratio, conv[:-1] / conv[1:], lo))
+                div = eval_array(div_ref, ns, shared=shared)
+                div_cmp = _joined(div_cmp, ratio_comparison(div[:-1] / div[1:], ratio, lo))
             yield lo, values[:-1]
 
     acc = Fraction(0)

@@ -1,34 +1,45 @@
 """Segmented prime sieve: the data substrate for every other module.
 
 Produces the primes in increasing order with correct 1-based global
-indices (p_1 = 2). Segments are odd-only boolean bitmaps, sieved one
-after another by one kernel:
+indices (p_1 = 2). Segments are boolean bitmaps over the candidates, the
+numbers coprime to 6, sieved one after another by one kernel:
 
-- the kernel starts at any value lo: it sieves the odd numbers of
+- candidate k is the number 3k + 1 + (k & 1), so the candidates run 1, 5,
+  7, 11, 13, ... and candidate v sits at index v // 3; a bitmap spends
+  one byte per 3 integers, and _decode turns a bitmap into its primes;
+- the kernel starts at any value lo: it sieves the candidates of
   [max(lo, 19), limit] and nothing below them;
-- a wheel pattern over odd indices, built once per call, already has the
-  multiples of 3, 5, 7, 11, 13 and 17 cleared (its period is
-  3*5*7*11*13*17 = 255,255 odd indices); each segment starts as a copy of
-  its window of the pattern, and no segment holds a wheel prime;
-- every base prime p > 17 up to sqrt(limit) keeps the offset of its next
-  odd multiple (the first one at or above max(p^2, lo)), relative to the
-  current segment, in one int64 array; a segment clears with one strided
-  write per base prime whose p^2 lies below its end, and the offsets are
-  carried to the next segment without recomputing a start;
+- a wheel pattern over candidate indices, built once per call, already
+  has the multiples of 5, 7, 11, 13 and 17 cleared (its period is
+  2*5*7*11*13*17 = 170,170 candidates, 510,510 integers); each segment
+  starts as a copy of its window of the pattern, and no segment holds a
+  wheel prime;
+- every base prime p > 17 up to sqrt(limit) keeps two offsets, of its
+  next multiples p*c with cofactor c = 1 and c = 5 mod 6 (the first ones
+  at or above max(p^2, lo)), relative to the current segment, in one
+  int64 array; c -> c + 6 steps 2p candidates, so a segment clears with
+  two strided writes of step 2p per base prime whose p^2 lies in or
+  below it, and the offsets are carried to the next segment without
+  recomputing a start; the active base primes are walked in slices of
+  _BASE_SLICE, so no per-segment list grows with their count;
 - the kernel sieves its own base primes: _segments drains itself up to
   sqrt(limit) on its own thread (_kernel_primes starts no executor), and
   the recursion ends below 19, where the kernel asks for no base primes.
 
-The primes below 19 (2 and the six wheel primes) come from one table,
+The primes below 19 (2, 3 and the five wheel primes) come from one table,
 _HEAD, never from a bitmap: sieve_primes yields the ones in its window
 as its first block and then turns each bitmap into a block of primes.
 A stream that starts above 2 takes the global index of its first prime
 from pi(lo - 1), and pi comes from the Lucy recursion, a Legendre-sum
 form of Meissel-Lehmer that sieves only up to sqrt(x), with the same
-kernel: prime_count answers from it alone and starts no thread.
-Every segment covers DEFAULT_SEGMENT_SIZE odd numbers, which no caller
-sets: the prime stream and every output are the same at any segment
-size, and the tests place segment edges by patching this constant.
+kernel: prime_count answers from it alone and starts no thread. A stream
+from 2 that runs to its end checks its count against pi(limit), a second
+count whose bitmaps end at sqrt(limit), and raises AssertionError if the
+two differ.
+Every segment covers DEFAULT_SEGMENT_SIZE candidates (3 times as many
+integers), which no caller sets: the prime stream and every output are
+the same at any segment size, and the tests place segment edges by
+patching this constant.
 Carried offsets make the kernel sequential, so segments are never sieved
 side by side. Instead each stream runs the kernel on a one-worker
 concurrent.futures executor, one segment ahead of its consumer: while
@@ -36,12 +47,12 @@ the worker clears the next bitmap, the consumer extracts the primes of
 the current one (np.flatnonzero, which releases the interpreter lock)
 and runs its own stage. numpy releases the lock only for a write of more
 than 500 elements, so the worker runs beside the consumer's Python code
-for its small base primes and holds the lock for p above about 2,100,
+for its small base primes and holds the lock for p above about 1,050,
 whose strided writes touch at most 500 elements of a 2^20 mask. Two
-threads, each clearing its own 2^20 mask, ran the 19 <= p < 64 band
-1.7-1.8x as fast as one, 64 <= p < 1024 1.2-1.4x, and p >= 4096 0.95x
-(2-core VM). The blocks are the same as from an inline drain, so no
-function here needs a thread count.
+threads, each clearing its own 2^20 odd-only mask, ran the 19 <= p < 64
+band 1.7-1.8x as fast as one, 64 <= p < 1024 1.2-1.4x, and p >= 4096
+0.95x (2-core VM). The blocks are the same as from an inline drain, so
+no function here needs a thread count.
 
 See Bays & Hudson, BIT 17 (1977), and Oliveira e Silva, Herzog & Pardi,
 Math. Comp. 83 (2014), for the segmented sieve with a pre-sieve; and
@@ -72,23 +83,30 @@ __all__ = [
     "write_dump_block",
 ]
 
-# Prime values are stored as int64; the odd-only segment arithmetic needs
-# 2*limit to stay inside the width, hence the 2^62 cap.
+# Prime values are stored as int64; the offset arithmetic forms multiples
+# up to limit + 6*sqrt(limit), which the 2^62 cap keeps inside the width.
 MAX_LIMIT = 1 << 62
 
-# Number of odd integers covered per segment (a 1 MiB boolean bitmap,
-# spanning ~2 million integers). Strided numpy clears amortize per-call
-# overhead at this size.
+# Number of candidates (numbers coprime to 6) covered per segment: a 1 MiB
+# boolean bitmap spanning ~3 million integers. Strided numpy clears
+# amortize per-call overhead at this size.
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Odd primes cleared by the wheel pattern instead of by strided writes
-_WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
-_WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)
+# Primes cleared by the wheel pattern instead of by strided writes; 2 and
+# 3 never appear, as every candidate is coprime to 6
+_WHEEL_PRIMES = (5, 7, 11, 13, 17)
+# in candidates: 6 * 5 * 7 * 11 * 13 * 17 = 510,510 integers, 2 in every 6
+_WHEEL_PERIOD = 2 * math.prod(_WHEEL_PRIMES)
 
-# The kernel's first odd number, the first prime above the wheel primes;
+# The kernel's first candidate, the first prime above the wheel primes;
 # _HEAD holds every prime below it, so no bitmap holds one
 _FIRST = 19
-_HEAD = np.array([2, *_WHEEL_PRIMES], dtype=np.int64)
+_HEAD = np.array([2, 3, *_WHEEL_PRIMES], dtype=np.int64)
+
+# Base primes whose offsets one Python list holds while a segment is
+# cleared: near 10^16 all 5.76 M base primes are active in every segment,
+# and lists over all of them would set the run's peak
+_BASE_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -108,11 +126,30 @@ class PrimeBlock:
 
 
 def _wheel_pattern(length: int) -> np.ndarray:
-    """pattern[k] is True iff 2k + 1 has no factor among _WHEEL_PRIMES."""
+    """pattern[k] is True iff candidate k has no factor among _WHEEL_PRIMES."""
     pattern = np.ones(length, dtype=bool)
     for q in _WHEEL_PRIMES:
-        pattern[(q - 1) // 2 :: q] = False
+        # q's multiples q and 5q head the two cofactor classes, 1 and 5 mod 6
+        pattern[q // 3 :: 2 * q] = False
+        pattern[5 * q // 3 :: 2 * q] = False
     return pattern
+
+
+def _candidates_upto(x: int) -> int:
+    """The number of candidates in [1, x], x >= 0: the index of the first one above x."""
+    return (x + 5) // 6 + (x + 1) // 6
+
+
+def _decode(k0: int, mask: np.ndarray) -> np.ndarray:
+    """The primes of a mask whose first entry is candidate k0, as a new int64 array.
+
+    Candidate k is 3k + 1 + (k & 1), which equals (3k + 1) | 1.
+    """
+    k = np.flatnonzero(mask)
+    k *= 3
+    k += 3 * k0 + 1
+    k |= 1
+    return k
 
 
 def _validate_limit(limit: int, name: str = "limit") -> int:
@@ -127,51 +164,61 @@ def _validate_limit(limit: int, name: str = "limit") -> int:
 
 
 def _segments(lo: int, limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (low, mask) for the odd numbers in [max(lo, _FIRST), limit], one segment at a time.
+    """Yield (k0, mask) for the candidates in [max(lo, _FIRST), limit], one segment at a time.
 
-    mask[i] is True iff low + 2i is prime. The segments alternate between
-    two buffers, so mask k is overwritten by segment k + 2: a consumer
-    reads it before asking for mask k + 2, and may have mask k + 1
-    sieved while it still reads mask k. _sieve_ahead does both: its
+    mask[i] is True iff candidate k0 + i is prime. The segments alternate
+    between two buffers, so mask k is overwritten by segment k + 2: a
+    consumer reads it before asking for mask k + 2, and may have mask
+    k + 1 sieved while it still reads mask k. _sieve_ahead does both: its
     executor sieves mask k + 1 during the read, and segment k + 2 is
     submitted only after it.
     """
-    first = max(lo | 1, _FIRST)
-    if first > limit:
+    first = max(lo, _FIRST)
+    k_first, k_end = _candidates_upto(first - 1), _candidates_upto(limit)
+    if k_first >= k_end:
         return
-    n_odds = (limit - first) // 2 + 1
+    n_candidates = k_end - k_first
 
-    width = min(DEFAULT_SEGMENT_SIZE, n_odds)
-    # a segment reads the pattern from its odd index mod the period, and
-    # never past the unwrapped end w0 + n_odds of the whole range
-    w0 = (first - 1) // 2 % _WHEEL_PERIOD
-    pattern = _wheel_pattern(min(_WHEEL_PERIOD + width, w0 + n_odds))
+    width = min(DEFAULT_SEGMENT_SIZE, n_candidates)
+    # a segment reads the pattern from its index mod the period, and never
+    # past the unwrapped end w0 + n_candidates of the whole range
+    w0 = k_first % _WHEEL_PERIOD
+    pattern = _wheel_pattern(min(_WHEEL_PERIOD + width, w0 + n_candidates))
     buf, spare = np.empty(width, dtype=bool), np.empty(width, dtype=bool)
 
     p = _kernel_primes(math.isqrt(limit))
-    p2 = p * p
-    # odd-index offset of each base prime's next odd multiple, relative to
-    # the current segment's low: the first one at or above max(p^2, first)
-    # (an even multiple steps on by p)
-    m = np.maximum(p2, (first + p - 1) // p * p)
-    off = (np.where(m % 2, m, m + p) - first) // 2
-    del m  # one int64 per base prime, read by nothing past this line
+    # candidate offset of each base prime's next multiple p*c in each
+    # cofactor class, c = 1 and c = 5 mod 6, relative to the current
+    # segment's k0: the first one with c >= max(p, first / p)
+    c = np.maximum(p, -(-first // p))
+    off = np.empty((2, len(p)), dtype=np.int64)
+    for row, r in zip(off, (1, 5)):
+        np.multiply(p, c + (r - c) % 6, out=row)
+        row //= 3
+        row -= k_first
+    step = 2 * p
+    del p, c  # one int64 each per base prime, read by nothing past this line
+    # a 0-d array as the written value skips the conversion of a Python
+    # False: a strided write of a few hundred elements (p >= 4096 at 10^9)
+    # took 0.25 us in place of 0.32 us (2-core VM)
+    false = np.zeros((), dtype=bool)
 
-    span = 2 * DEFAULT_SEGMENT_SIZE
-    for low in range(first, limit + 1, span):
-        high = min(low + span, limit + 1)
-        n = (high - low + 1) // 2
-        w = ((low - 1) // 2) % _WHEEL_PERIOD
+    for k0 in range(k_first, k_end, DEFAULT_SEGMENT_SIZE):
+        n = min(DEFAULT_SEGMENT_SIZE, k_end - k0)
+        w = k0 % _WHEEL_PERIOD
         mask = buf[:n]
         mask[:] = pattern[w : w + n]
-        active = int(np.searchsorted(p2, high))
-        for q, o in zip(p[:active].tolist(), off[:active].tolist()):
-            mask[o::q] = False
-        yield low, mask
+        # p^2 is candidate p^2 // 3, so p clears here iff p^2 < 3 (k0 + n)
+        active = int(np.searchsorted(step, 2 * math.isqrt(3 * (k0 + n) - 1), side="right"))
+        for s in range(0, active, _BASE_SLICE):
+            part = slice(s, min(s + _BASE_SLICE, active))
+            for q, o1, o5 in zip(step[part].tolist(), off[0, part].tolist(), off[1, part].tolist()):
+                mask[o1::q] = false
+                mask[o5::q] = false
+        yield k0, mask
         buf, spare = spare, buf
         off -= n
-        neg = off < 0
-        off[neg] %= p[neg]
+        np.remainder(off, step, out=off, where=off < 0)
 
 
 def _sieve_ahead(lo: int, limit: int) -> Iterator[np.ndarray]:
@@ -195,11 +242,8 @@ def _sieve_ahead(lo: int, limit: int) -> Iterator[np.ndarray]:
     try:
         ahead = deque(pool.submit(next, segments, None) for _ in range(2))
         while (item := ahead.popleft().result()) is not None:
-            low, mask = item
-            primes = np.flatnonzero(mask)
+            primes = _decode(*item)
             ahead.append(pool.submit(next, segments, None))
-            primes *= 2
-            primes += low
             yield primes
     finally:
         pool.shutdown(cancel_futures=True)
@@ -207,7 +251,7 @@ def _sieve_ahead(lo: int, limit: int) -> Iterator[np.ndarray]:
 
 def _kernel_primes(n: int) -> np.ndarray:
     """The primes _FIRST <= p <= n as one int64 array, drained from _segments on this thread."""
-    blocks = [np.flatnonzero(mask) * 2 + low for low, mask in _segments(_FIRST, n)]
+    blocks = [_decode(k0, mask) for k0, mask in _segments(_FIRST, n)]
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
 
@@ -245,7 +289,8 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
 
     The first block's start_index is pi(start - 1) + 1, so indices are
     global whatever the start. A start at or below 2 streams every prime
-    and needs no pi; a start above limit streams nothing. The primes of
+    and needs no pi to begin, but once drained it checks its count
+    against pi(limit); a start above limit streams nothing. The primes of
     _HEAD in the window, if any, form the first block, and each non-empty
     segment of the kernel, which starts at _FIRST, forms one block after it.
 
@@ -260,6 +305,8 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
     Raises:
       ValueError: limit < 2 or threads < 1.
       CapacityError: limit exceeds MAX_LIMIT.
+      AssertionError: a stream from 2, drained to its end, held a count
+        other than pi(limit): an internal fault of the kernel.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -272,13 +319,17 @@ def sieve_primes(limit: int, *, start: int = 2, threads: int = 1) -> Iterator[Pr
 
     count = _prime_pi(start - 1)
     head = _HEAD[(start <= _HEAD) & (_HEAD <= limit)]
-    # a window below the kernel's first odd number starts no worker
-    tail = _sieve_ahead(start, limit) if max(start | 1, _FIRST) <= limit else ()
+    # a window below the kernel's first candidate starts no worker
+    tail = _sieve_ahead(start, limit) if max(start, _FIRST) <= limit else ()
     for primes in chain([head], tail):
         if len(primes):
             primes.flags.writeable = False
             yield PrimeBlock(start_index=count + 1, primes=primes)
             count += len(primes)
+    # pi(limit) sieves only up to sqrt(limit), so a fault of the stream's
+    # bitmaps, carried offsets or extraction shows here as a second count
+    if start <= 2 and count != (pi := _prime_pi(limit)):
+        raise AssertionError(f"the stream to {limit} held {count} primes, but pi({limit}) = {pi}")
 
 
 def primes_upto(limit: int) -> np.ndarray:

@@ -18,7 +18,7 @@ def oracle_primes_1m() -> list[int]:
 
 @pytest.fixture
 def set_segment_size(monkeypatch):
-    """Setter for the odd numbers per sieve segment, restored after the test.
+    """Setter for the candidates (numbers coprime to 6) per sieve segment, restored after the test.
 
     Every stream function reads sieve.DEFAULT_SEGMENT_SIZE when its sieve
     starts, so a test calls this before the run whose segment edges it

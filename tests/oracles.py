@@ -2,9 +2,9 @@
 
 Everything here deliberately uses a different algorithm or precision
 substrate than the library code it checks: trial division and dense
-bytearray sieves instead of odd-only segmented numpy, exact rationals
-instead of floats, and mpmath at elevated precision instead of the
-library's evaluation lanes. Oracle results are computed first and frozen
+bytearray sieves instead of segmented numpy over the numbers coprime to
+6, exact rationals instead of floats, and mpmath at elevated precision
+instead of the library's evaluation lanes. Oracle results are computed first and frozen
 into tests; the oracles stay runnable so every frozen number can be
 re-derived.
 """
@@ -80,7 +80,7 @@ def dense_sieve(limit: int) -> list[int]:
 
 
 def bitmap_prime_count(limit: int) -> int:
-    """pi(limit) by counting gaplab's own odd-only segment bitmaps and its head table.
+    """pi(limit) by counting gaplab's own segment bitmaps and its head table.
 
     Not independent of the library: it shares the sieve kernel, and it
     cross-checks the library's pi(x), which comes from the Lucy recursion

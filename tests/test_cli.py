@@ -547,7 +547,9 @@ def test_power_tower_fails_fast_instead_of_hanging():
      "(exact zero; rapidly decaying sequences can underflow the float64 lane)"),
     ("1/(n^400-n^400+n^2)", "EvalError",
      "evaluation of '1/(n^400 - n^400 + n^2)' is not finite at n=6"),
-], ids=["overflow-to-zero", "inf-minus-inf"])
+    # finite terms 10^300 and 10^-300 in turn, whose ratio 10^600 is not
+    ("10^(300*(-1)^n)", "OverflowError", "ratio excess at n=2 exceeds the float range"),
+], ids=["overflow-to-zero", "inf-minus-inf", "term-ratio-overflow"])
 def test_a_float64_overflow_is_one_json_error_and_no_numpy_warning(text, error, message):
     # the child keeps Python's default filters, which would print numpy's
     # RuntimeWarning on stderr ahead of the JSON error

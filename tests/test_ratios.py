@@ -84,6 +84,13 @@ def test_excess_propagates_positivity():
         ratio_excess(expr("n-10"), 8)
 
 
+def test_excess_beyond_the_float_range_names_n():
+    # b(2)/b(3) = 10^600 and b(3)/b(4) = 10^-600: only the first leaves the range
+    with pytest.raises(OverflowError, match=r"^ratio excess at n=2 exceeds the float range$"):
+        ratio_excess(expr("10^(300*(-1)^n)"), 2)
+    assert ratio_excess(expr("10^(300*(-1)^n)"), 3) == -3 * math.log(3)
+
+
 # ---------------------------------------------------------------------------
 # extrapolation
 
@@ -407,6 +414,18 @@ def test_probe_partial_sum_beyond_the_float_range_raises():
     # 2^20 terms of 10^302 stay below the largest double, 2^21 do not
     with pytest.raises(OverflowError, match=r"partial sum at n=2097152 exceeds"):
         summability_probe(expr("10^302"), 2**21)
+
+
+def test_probe_term_ratios_beyond_the_float_range_compare_without_a_warning():
+    # terms 10^300 and 10^-300 in turn: every other term ratio is 10^600,
+    # an inf, and the rest are 10^-600, a zero; warnings are errors here
+    probe = summability_probe(expr("10^(300*(-1)^n)"), 1024)
+    comparisons = probe.reference_comparisons
+    # the convergent reference's ratio beats 0.0 and loses to inf, at n = 3, 5, ...
+    conv = comparisons["convergent_reference"]
+    assert (conv["violation_count"], conv["first_violation"], conv["last_violation"]) == (511, 3, 1023)
+    div = comparisons["divergent_reference"]
+    assert (div["violation_count"], div["first_violation"], div["last_violation"]) == (512, 2, 1024)
 
 
 def test_probe_never_claims_proof():

@@ -171,10 +171,11 @@ def oracle_2m() -> np.ndarray:
     return np.array(dense_sieve(2_000_003), dtype=np.int64)
 
 
-@pytest.mark.parametrize("segment_size", [64, 101, 4099, 255_255, 1 << 20])
+@pytest.mark.parametrize("segment_size", [64, 101, 4099, 170_170, 255_255, 1 << 20])
 def test_wheel_and_carried_offsets_match_dense_sieve(segment_size, oracle_2m, set_segment_size):
-    # 64 odds per segment carries every base prime's offset across 15,625
-    # segments; 255,255 is one wheel period, 4099 and 101 never align with it
+    # 64 candidates per segment carries every base prime's offsets across
+    # 10,417 segments; 170,170 is one wheel period, 255,255 one and a half,
+    # and 4099 and 101 never align with it
     set_segment_size(segment_size)
     assert np.array_equal(primes_upto(2_000_003), oracle_2m)
 
@@ -238,8 +239,8 @@ def oracle_drain() -> np.ndarray:
 
 @pytest.mark.parametrize("segment_size", [1, 64, 101, 4099])
 def test_kernel_primes_match_dense_sieve(segment_size, oracle_drain, set_segment_size):
-    # at one odd number per segment a drain to 1009^2 walks 509,000
-    # segments, about 40 s, so that size stops at 23^2 + 1
+    # at one candidate per segment a drain to 1009^2 walks about 339,000
+    # segments, so that size stops at 23^2 + 1
     set_segment_size(segment_size)
     for n in _DRAIN_BOUNDS:
         if segment_size == 1 and n > 1000:
@@ -282,8 +283,14 @@ _WINDOW_STARTS = (
 @pytest.mark.parametrize("segment_size", [64, 101, 4099])
 def test_window_blocks_match_full_stream(segment_size, oracle_4m, set_segment_size):
     set_segment_size(segment_size)
-    span = 2 * segment_size
-    edges = [3 + k * span + d for k in (1, 2, 40) for d in (-2, -1, 0, 1, 2)]
+    # segment edges of a stream from 19, at 3 integers per candidate, and
+    # of the odd-only layout that came before it, at 2 per odd number
+    edges = [
+        base + k * span + d
+        for base, span in ((19, 3 * segment_size), (3, 2 * segment_size))
+        for k in (1, 2, 40)
+        for d in (-2, -1, 0, 1, 2)
+    ]
     for lo in _WINDOW_STARTS + edges:
         limit = lo + 6000
         blocks = list(sieve_primes(limit, start=lo))
@@ -294,6 +301,51 @@ def test_window_blocks_match_full_stream(segment_size, oracle_4m, set_segment_si
             assert block.start_index == index, lo
             assert not block.primes.flags.writeable
             index += len(block)
+
+
+# one and two wheel periods of 510,510 integers, with limits and window
+# starts at every residue mod 6 on each side
+_PERIOD_EDGES = [m * 510_510 + d for m in (1, 2) for d in range(-6, 7)]
+
+
+@pytest.mark.parametrize("segment_size", [1, 3, 101, 4099])
+def test_windows_at_every_residue_mod_6_across_period_edges(segment_size, oracle_2m, set_segment_size):
+    # odd segment sizes alternate the parity of each segment's first
+    # candidate k0, and one candidate per segment puts an edge everywhere
+    set_segment_size(segment_size)
+    for edge in _PERIOD_EDGES:
+        for lo, limit in ((edge, edge + 600), (edge - 600, edge), (edge, edge)):
+            blocks = list(sieve_primes(limit, start=lo))
+            got = np.concatenate([b.primes for b in blocks]) if blocks else np.zeros(0, np.int64)
+            expected = oracle_2m[(oracle_2m >= lo) & (oracle_2m <= limit)]
+            assert np.array_equal(got, expected), (lo, limit)
+            if blocks:
+                assert blocks[0].start_index == int(np.searchsorted(oracle_2m, lo)) + 1, (lo, limit)
+
+
+@pytest.mark.parametrize("segment_size", [4099, 170_170, 170_171, 1 << 20])
+def test_streams_from_2_end_at_every_residue_mod_6(segment_size, oracle_2m, set_segment_size):
+    set_segment_size(segment_size)
+    for limit in _PERIOD_EDGES:
+        assert np.array_equal(primes_upto(limit), oracle_2m[oracle_2m <= limit]), limit
+
+
+@pytest.mark.parametrize("segment_size", [1, 64, 101, 4099])
+def test_base_primes_walked_in_slices_match_dense_sieve(
+    segment_size, oracle_drain, oracle_2m, monkeypatch, set_segment_size
+):
+    # 7 base primes per slice: the 1009^2 drain walks up to 24 slices a
+    # segment, and a segment's last slice ends at its last active prime
+    monkeypatch.setattr(sieve, "_BASE_SLICE", 7)
+    set_segment_size(segment_size)
+    for n in _DRAIN_BOUNDS[::7] + _DRAIN_BOUNDS[-9:]:
+        if segment_size == 1 and n > 1000:
+            continue
+        assert np.array_equal(sieve._kernel_primes(n), oracle_drain[(oracle_drain >= 19) & (oracle_drain <= n)]), n
+    for lo in (2, 19, 1021, 502_681, 510_511, 1_970_003):
+        limit = lo + (3000 if segment_size == 1 else 30_000)
+        got = np.concatenate([b.primes for b in sieve_primes(limit, start=lo)])
+        assert np.array_equal(got, oracle_2m[(oracle_2m >= lo) & (oracle_2m <= limit)]), lo
 
 
 def test_window_edge_cases():
@@ -422,7 +474,7 @@ def test_stream_functions_are_segment_invariant(name, segment_size, set_segment_
 
 
 def _inline_blocks(limit: int, start: int = 2) -> list[tuple[int, list[int]]]:
-    """sieve_primes's blocks from an inline drain of _segments, on this thread.
+    """sieve_primes's blocks from an inline drain of _segments, decoded by _decode, on this thread.
 
     Each mask is checked unchanged after the next one is sieved: the
     segments alternate between two buffers.
@@ -432,11 +484,11 @@ def _inline_blocks(limit: int, start: int = 2) -> list[tuple[int, list[int]]]:
     blocks = [(count + 1, head)] if head else []
     count += len(head)
     held = None
-    for low, mask in sieve._segments(start, limit):
+    for k0, mask in sieve._segments(start, limit):
         if held is not None:
             assert np.array_equal(held[0], held[1]), "mask k changed under segment k + 1"
         held = (mask, mask.copy())
-        primes = np.flatnonzero(mask) * 2 + low
+        primes = sieve._decode(k0, mask)
         if len(primes):
             blocks.append((count + 1, primes.tolist()))
             count += len(primes)
@@ -469,7 +521,7 @@ def sieve_threads_started(monkeypatch) -> list[str]:
 
 
 def test_a_window_below_19_starts_no_worker(sieve_threads_started):
-    # every prime below the kernel's first odd number, 19, is in _HEAD
+    # every prime below the kernel's first candidate, 19, is in _HEAD
     for limit in range(2, 19):
         for start in range(1, 21):
             blocks = [(b.start_index, b.primes.tolist()) for b in sieve_primes(limit, start=start)]
@@ -561,6 +613,31 @@ def test_worker_fault_reaches_the_consumer_after_the_first_blocks(monkeypatch, s
     assert str(exc.value) == "fault at the third segment"
     assert got == expected
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("segment", [3, 16])
+def test_a_drained_stream_from_2_checks_its_count_against_pi(segment, monkeypatch, set_segment_size):
+    # 4099 candidates span 12,297 integers, so the stream to 2 * 10^5 has 17
+    # segments, while pi's bitmaps and the stream's base primes end at
+    # sqrt(2 * 10^5) = 447, inside segment 0, which the fault never reaches
+    segments = sieve._segments
+
+    def lossy(lo, limit):
+        for k, (k0, mask) in enumerate(segments(lo, limit)):
+            if k == segment:
+                mask[np.flatnonzero(mask)[0]] = False  # the segment loses its first prime
+            yield k0, mask
+
+    set_segment_size(4099)
+    monkeypatch.setattr(sieve, "_segments", lossy)
+    with pytest.raises(AssertionError, match=r"held 17983 primes, but pi\(200000\) = 17984"):
+        sum(len(b) for b in sieve_primes(2 * 10**5))
+    # a window pays no second pi, and a stream closed early checks nothing
+    assert sum(len(b) for b in sieve_primes(2 * 10**5, start=3)) == 17_982
+    stream = sieve_primes(2 * 10**5)
+    for _ in range(segment + 2):
+        next(stream)
+    stream.close()
 
 
 def test_a_suspended_stream_does_not_block_interpreter_exit():
