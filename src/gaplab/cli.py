@@ -328,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         # ahead of ValueError, which both subclass
         _emit_error(exc)
         return 2
-    except (ValueError, ArithmeticError, OverflowError, TypeError, OSError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, TypeError, OSError, MemoryError) as exc:
         # numpy's failed allocations raise a MemoryError subclass
         _emit_error(exc)
         return 1

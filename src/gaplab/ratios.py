@@ -731,7 +731,7 @@ def gap_bound_report(
         implied = math.ceil(scan.max_threshold_among_hits)
         statement = (
             f"{scan.hit_count} indices n in [{scan.n_lo}, {scan.n_hi}] satisfy "
-            f"p_(n+1)/p_n < 1 + {scan.r + scan.epsilon:g}/(n ln n); the smallest gap "
+            f"p_(n+1)/p_n < 1 + {scan.r + scan.epsilon:.15g}/(n ln n); the smallest gap "
             f"among them is {scan.min_gap_among_hits}. If such hits continued "
             f"indefinitely, liminf of the prime gap would be at most "
             f"ceil(max threshold) = {implied}. Finite-range evidence, not a proof."
@@ -740,7 +740,7 @@ def gap_bound_report(
         implied = None
         statement = (
             f"No index n in [{scan.n_lo}, {scan.n_hi}] satisfies "
-            f"p_(n+1)/p_n < 1 + {scan.r + scan.epsilon:g}/(n ln n); "
+            f"p_(n+1)/p_n < 1 + {scan.r + scan.epsilon:.15g}/(n ln n); "
             f"this range offers no gap bound at this strength."
         )
     return GapBoundSummary(scan=scan, implied_bound=implied, statement=statement)

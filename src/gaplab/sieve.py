@@ -48,10 +48,8 @@ the current one (np.flatnonzero, which releases the interpreter lock)
 and runs its own stage. numpy releases the lock only for a write of more
 than 500 elements, so the worker runs beside the consumer's Python code
 for its small base primes and holds the lock for p above about 1,050,
-whose strided writes touch at most 500 elements of a 2^20 mask. Two
-threads, each clearing its own 2^20 odd-only mask, ran the 19 <= p < 64
-band 1.7-1.8x as fast as one, 64 <= p < 1024 1.2-1.4x, and p >= 4096
-0.95x (2-core VM). The blocks are the same as from an inline drain, so
+whose two writes of step 2p touch at most 500 elements each of a
+2^20-candidate mask. The blocks are the same as from an inline drain, so
 no function here needs a thread count.
 
 See Bays & Hudson, BIT 17 (1977), and Oliveira e Silva, Herzog & Pardi,
@@ -85,6 +83,12 @@ __all__ = [
 
 # Prime values are stored as int64; the offset arithmetic forms multiples
 # up to limit + 6*sqrt(limit), which the 2^62 cap keeps inside the width.
+# The cap is that int64 bound, not a practical limit: every window that
+# needs a global index (nth_prime, scan --n-lo, the sieve summary) first
+# computes pi(start - 1) by the Lucy recursion, which took 9.1 s at a
+# 163 MB peak for 10^13 and 70 s at 504 MB for 10^14 (one run each);
+# that rate gives about 40 minutes at 10^16, and at 2^62 its arrays alone
+# would need 52 GB.
 MAX_LIMIT = 1 << 62
 
 # Number of candidates (numbers coprime to 6) covered per segment: a 1 MiB

@@ -44,6 +44,13 @@ def test_sieve_summary_and_csv(tmp_path, capsys):
     assert out_file.read_text().splitlines() == ["index,prime", "1,2", "2,3", "3,5", "4,7"]
     code, out, _ = invoke(["sieve", "--limit", "100"], capsys)
     assert json.loads(out)["prime_count"] == 25
+    # 19 = p_8 is the first prime that comes from a sieve bitmap
+    code, _, _ = invoke(
+        ["sieve", "--limit", "19", "--format", "csv", "--out", str(out_file)], capsys
+    )
+    rows = out_file.read_text().splitlines()
+    assert code == 0
+    assert (len(rows), rows[-1]) == (9, "8,19")
 
 
 def test_sieve_dump(tmp_path, capsys):
@@ -140,6 +147,12 @@ def test_sieve_summary_window_grows_with_the_limit(capsys, monkeypatch, limit):
 @pytest.mark.parametrize("limit, count, last", [
     (10**10, 455_052_511, 9_999_999_967),
     (10**11, 4_118_054_813, 99_999_999_977),
+    # pi's primes up to 10^6 come from the kernel, whose base primes
+    # recurse at 1000, 31 and 5
+    (10**12, 37_607_912_018, 999_999_999_989),
+    # limits 2 and 17 end inside the table of the primes below 19
+    (2, 1, 2),
+    (17, 7, 17),
 ])
 def test_sieve_summary_matches_published_values(capsys, limit, count, last):
     # pi(10^k) is OEIS A006880 and the largest prime below 10^k is A003618
@@ -162,16 +175,20 @@ def test_scan_csv_twin_rows(tmp_path, capsys, oracle_primes_1m):
     assert len(twin_rows) == count_gaps(oracle_primes_1m, 2, 10**4)
 
 
-def test_scan_csv_twin_rows_at_1e6(tmp_path, capsys):
+@pytest.mark.parametrize("limit, twins", [(10**6, 8169), (10**7, 58_980)], ids=["1e6", "1e7"])
+def test_scan_csv_rows_are_the_twin_pairs(tmp_path, capsys, limit, twins):
+    # pi_2(10^6) = 8,169 and pi_2(10^7) = 58,980 (OEIS A007508); the r = 2
+    # hits are exactly the twin pairs, and at 10^7 they fill eight chunks
+    # of CSV rows, the last one partial
     hits = tmp_path / "hits.csv"
     code, _, _ = invoke(
-        ["scan", "--r", "2", "--epsilon", "0", "--limit", "1000000",
-         "--out", str(hits), "--format", "csv"],
+        ["scan", "--r", "2", "--limit", str(limit), "--out", str(hits), "--format", "csv"],
         capsys,
     )
     assert code == 0
-    gap2_rows = [r for r in hits.read_text().splitlines()[1:] if r.split(",")[3] == "2"]
-    assert len(gap2_rows) == 8169
+    rows = hits.read_text().splitlines()
+    assert len(rows) == twins + 1
+    assert sum(r.split(",")[3] == "2" for r in rows[1:]) == twins
 
 
 def test_scan_summary_flag(capsys):
@@ -182,6 +199,34 @@ def test_scan_summary_flag(capsys):
     doc = json.loads(out)
     assert doc["report"] == "gap_bound_summary"
     assert "statement" in doc
+
+
+@pytest.mark.parametrize("argv, hits, n_lo", [
+    ([], 1224, 2),
+    (["--n-lo", "1000"], 1050, 1000),
+], ids=["from-2", "n-lo-1000"])
+def test_scan_hits_below_1e5_are_the_twin_pairs(capsys, argv, hits, n_lo):
+    # 1224 twin pairs lie below 10^5 (OEIS A007508), and r = 2 hits are
+    # exactly those; 1050 of them lie at or above p_1000 = 7919
+    code, out, _ = invoke(["scan", "--r", "2", "--limit", "100000", *argv], capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["hit_count"], doc["n_lo"]) == (hits, n_lo)
+
+
+@pytest.mark.parametrize("argv, hits, strength", [
+    (["--r", "2"], True, "2"),
+    (["--r", "2", "--epsilon", "0.0000001"], True, "2.0000001"),
+    (["--r", "2.0000001"], True, "2.0000001"),
+    (["--r", "0.1234567"], False, "0.1234567"),
+], ids=["r-2", "epsilon", "r-digits", "no-hits"])
+def test_summary_statement_names_the_strength_scanned(capsys, argv, hits, strength):
+    # the statement prints r + epsilon as the export prints a float
+    code, out, _ = invoke(["scan", *argv, "--limit", "1000", "--summary"], capsys)
+    statement = json.loads(out)["statement"]
+    assert code == 0
+    assert statement.startswith("No index") is not hits
+    assert f"p_(n+1)/p_n < 1 + {strength}/(n ln n)" in statement
 
 
 def test_parse_reports_syntax_position(capsys):
@@ -237,14 +282,31 @@ def test_expr_followed_by_a_flag_is_still_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_star_command(capsys):
-    code, out, _ = invoke(
-        ["star", "--expr", "1/ln(n)^2", "--r", "2", "--n-max", str(2**12)], capsys
-    )
+_STAR = "1/(n*ln(n)^2)"
+
+
+def _tallies(doc):
+    comparisons = doc["summability"]["reference_comparisons"]
+    d = comparisons["divergent_reference"]
+    return (comparisons["convergent_reference"]["violation_count"],
+            (d["violation_count"], d["first_violation"], d["last_violation"]))
+
+
+@pytest.mark.parametrize("expr, r, n_max, read, expected", [
+    ("1/ln(n)^2", "2", 2**12, lambda doc: (doc["candidate"], doc["failed_axes"]),
+     (False, ["summability"])),
+    (_STAR, "1", 4096, lambda doc: doc["summability"]["verdict"], "converging-evidence"),
+    # n_max = 2 + 2^15, two more than the probe's chunk, leaves a one-term
+    # last chunk. The candidate is the convergent reference itself, so
+    # that comparison never fails; the divergent reference's term ratio
+    # falls short of it at every n by about 1/(n ln n), at least 2.9e-6
+    # here, far above the float64 error
+    (_STAR, "1", 32770, _tallies, (0, (32769, 2, 32770))),
+], ids=["ln2-r2", "nln2-4096", "nln2-32770"])
+def test_star_command(capsys, expr, r, n_max, read, expected):
+    code, out, _ = invoke(["star", "--expr", expr, "--r", r, "--n-max", str(n_max)], capsys)
     assert code == 0
-    doc = json.loads(out)
-    assert doc["candidate"] is False
-    assert doc["failed_axes"] == ["summability"]
+    assert read(json.loads(out)) == expected
 
 
 def test_series_command(capsys):
@@ -255,12 +317,24 @@ def test_series_command(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,p_n,partial_sum,pnt_ratio,loglog_gap"
     assert len(lines) == 3
+    # p_1000 = 7,919 (OEIS A000040); p_78498 = 999,983 is the last prime
+    # below 10^6 (A003618)
+    code, out, _ = invoke(["series", "--limit", "1000000", "--checkpoints", "1000,78498"], capsys)
+    assert code == 0
+    rows = [(c["n"], c["p_n"]) for c in json.loads(out)["checkpoints"]]
+    assert rows == [(1000, 7919), (78498, 999_983)]
 
 
 def test_gaps_command(capsys):
     code, out, _ = invoke(["gaps", "--limit", "1000", "--format", "csv"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "gap,count"
+    # below 10^6 lie pi_2(10^6) = 8,169 twin pairs (OEIS A007508) and
+    # pi(10^6) - 1 = 78,497 gaps (A006880)
+    code, out, _ = invoke(["gaps", "--limit", "1000000"], capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert (dict(doc["histogram"])[2], doc["total_gaps"]) == (8169, 78_497)
 
 
 def test_missing_required_flags_are_usage_errors(capsys):
@@ -285,6 +359,11 @@ def test_computation_errors_exit_1(capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "OverflowError"
     assert error["message"] == "partial sum at n=2097152 exceeds the float range"
+    # one past the int64 bound of the sieve
+    code, out, err = invoke(["sieve", "--limit", str(2**62 + 1)], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "CapacityError"
 
 
 def test_memory_error_is_a_json_computation_error(capsys, monkeypatch):
@@ -370,9 +449,6 @@ def test_config_file_int_fits_a_float_field(tmp_path, capsys):
     code, from_file, _ = invoke(argv + ["--config", str(config)], capsys)
     assert code == 0
     assert from_file == invoke(argv + ["--r", "2"], capsys)[1]
-
-
-_STAR = "1/(n*ln(n)^2)"
 
 
 @pytest.mark.parametrize("argv, file_values, flags", [
